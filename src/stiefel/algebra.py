@@ -9,6 +9,13 @@ monomials in generators rho_{n-m+1}, ..., rho_n, where rho_i has bidegree
 Monomials are tuples of strictly increasing generator indices; the empty
 tuple is the unit.  Elements are kept in a unique normal form, so equality
 of elements is structural equality.
+
+Products encode each monomial as an int bitmask, bit i standing for rho_i.
+Two disjoint monomials multiply as in an exterior algebra, with the sign
+given by the parity of the crossing pairs; overlapping ones are contracted
+by the squaring rule (see _normal_word).  Coefficients of one product are
+summed as integers per monomial and {-1}-power and normalised once per
+output monomial.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation
@@ -146,20 +153,32 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_ring(other)
-        acc: dict[Monomial, MCoefficient] = {}
+        pres = self.pres
+        n = pres.n
+        ys = [(_mask(m2), c2.terms) for m2, c2 in other.terms]
+        # coefficients summed in Z[{-1}] per (monomial, {-1}-power), then
+        # reduced once per monomial: reduction is a ring homomorphism
+        acc: dict[int, dict[int, int]] = {}
         for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                nf = _normal_word(self.pres.n, m1 + m2)
+            a, t1 = _mask(m1), c1.terms
+            for b, t2 in ys:
+                nf = _normal_word(n, a, b)
                 if nf is None:
                     continue
-                mono, sign, twist = nf
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                if twist:
-                    c = c.shift(twist)
-                acc[mono] = acc[mono] + c if mono in acc else c
-        return Element(self.pres, tuple(acc.items()))
+                mask, sign, twist = nf
+                powers = acc.get(mask)
+                if powers is None:
+                    powers = acc[mask] = {}
+                for k1, v1 in t1:
+                    k1 += twist
+                    v1 *= sign
+                    for k2, v2 in t2:
+                        k = k1 + k2
+                        powers[k] = powers.get(k, 0) + v1 * v2
+        ring, profile = pres.ring, pres.profile
+        return Element(pres, tuple(
+            (_monomial(mask), MCoefficient(ring, profile, tuple(powers.items())))
+            for mask, powers in acc.items()))
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, MCoefficient)):
@@ -205,45 +224,66 @@ class Element:
         return Element(self.pres, tuple(picked))
 
 
-def _sorted_with_sign(word: list[int]) -> tuple[list[int], int]:
-    """Stable insertion sort counting transpositions.
+def _mask(mono: Monomial) -> int:
+    """The monomial as a bitmask, bit i standing for rho_i."""
+    return sum(1 << i for i in mono)
 
-    Every generator has odd cohomological degree, so each adjacent swap
-    contributes a factor -1 (the exterior-algebra convention).
+
+def _monomial(mask: int) -> Monomial:
+    """Inverse of _mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _normal_word(n: int, a: int, b: int) -> tuple[int, int, int] | None:
+    """Normal form of the product of the monomials with bitmasks a and b
+    inside W(n, *), bit i standing for rho_i.
+
+    Returns (mask, sign, twist) meaning the product equals
+    sign * {-1}^twist * monomial(mask), or None when the product is zero.
+
+    Disjoint monomials multiply as in an exterior algebra: every generator
+    has odd degree, so the sign is the parity of the crossing pairs (i in
+    a, j in b, i > j).  Repeated indices are contracted smallest first via
+    rho_i rho_i -> {-1} rho_{2i-1} (zero when 2i-1 > n); rho_{2i-1} may
+    already be present once (giving a new repeat) or twice (a triple copy,
+    of which one pair remains to contract), and rho_1^2 = {-1} rho_1.  No
+    sign is tracked once a contraction happens: the result then carries
+    {-1}^twist with twist >= 1, whose coefficients lie in R/2R, where
+    -1 = 1, so sign 1 is returned.
     """
-    w = list(word)
-    sign = 1
-    for i in range(1, len(w)):
-        j = i
-        while j and w[j - 1] > w[j]:
-            w[j - 1], w[j] = w[j], w[j - 1]
-            sign = -sign
-            j -= 1
-    return w, sign
-
-
-def _normal_word(n: int, word: Sequence[int]) -> tuple[Monomial, int, int] | None:
-    """Normal form of a product of generators inside W(n, *).
-
-    Returns (monomial, sign, twist) meaning the product equals
-    sign * {-1}^twist * monomial, or None when the product is zero.
-    Repeated indices are contracted smallest first via
-    rho_i rho_i -> {-1} rho_{2i-1} (zero when 2i-1 > n); every contraction
-    shortens the word, so rewriting terminates.
-    """
-    w, sign = _sorted_with_sign(list(word))
+    twice = a & b
+    if not twice:
+        crossings = 0
+        rest = b
+        while rest:
+            low = rest & -rest
+            crossings += (a >> low.bit_length()).bit_count()
+            rest ^= low
+        return a | b, -1 if crossings & 1 else 1, 0
+    # every repeated index is contracted at least once
+    if twice >> ((n + 1) // 2 + 1):
+        return None
+    single = a ^ b
     twist = 0
-    while True:
-        dup = next((t for t in range(len(w) - 1) if w[t] == w[t + 1]), None)
-        if dup is None:
-            return tuple(w), sign, twist
-        i = w[dup]
-        if 2 * i - 1 > n:
+    while twice:
+        low = twice & -twice
+        twice ^= low
+        j = 2 * low.bit_length() - 3  # 2i - 1 for low = 1 << i
+        if j > n:
             return None
-        w[dup:dup + 2] = [2 * i - 1]
         twist += 1
-        w, s = _sorted_with_sign(w)
-        sign *= s
+        bit = 1 << j
+        if single & bit:
+            single ^= bit
+            twice |= bit
+        else:
+            single |= bit
+    return single, 1, twist
 
 
 def all_monomials(pres: StiefelPresentation) -> list[Monomial]:

@@ -134,7 +134,11 @@ def mul(x, y, n, m, coeff, minus_one, characteristic, fmt):
 def sq(index, x, n, m, coeff, minus_one, characteristic, fmt):
     """Apply the motivic Steenrod square Sq^i (odd i gives zero)."""
     pres = build_presentation(n, m, coeff, minus_one, characteristic)
-    emit_element(apply_operation(square(index), parse_element(x, pres)), fmt)
+    try:
+        op = square(index)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    emit_element(apply_operation(op, parse_element(x, pres)), fmt)
 
 
 @main.command("power")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ContextMismatch
+from .errors import ContextMismatch, InvalidPresentation
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,11 @@ class FieldProfile:
 
     minus_one_is_square: bool = False
     characteristic: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.characteristic not in (None, 0) and not is_prime(self.characteristic):
+            raise InvalidPresentation(
+                f"the characteristic of a field is 0 or a prime, got {self.characteristic}")
 
 
 class Bidegree(NamedTuple):

@@ -185,17 +185,18 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
         key = (mono, k)
         if key not in cache:
             head, last = mono[:-1], mono[-1]
-            total = pres.zero()
+            terms = []
             for b in range(k + 1):
                 g = gen_action(b, last)
                 if g:
-                    total = total + cartan(head, k - b) * g
-            cache[key] = total
+                    terms.extend((cartan(head, k - b) * g).terms)
+            cache[key] = Element(pres, tuple(terms))
         return cache[key]
 
-    out = pres.zero()
+    terms = []
     for mono, c in x.terms:
-        out = out + cartan(mono, op.index) * c
+        terms.extend((cartan(mono, op.index) * c).terms)
+    out = Element(pres, tuple(terms))
     _check_shift(op, x, out)
     return out
 
@@ -206,7 +207,7 @@ def _apply_tate(op: Operation, x: PGmElement) -> PGmElement:
     if op.kind in (OperationKind.ODD_SQUARE, OperationKind.BOCKSTEIN):
         return pres.zero()
     k = op.index
-    out = pres.zero()
+    terms = []
     for (s, e), c in x.terms:
         coeff = binom_mod(e, k, op.prime)
         if not coeff:
@@ -214,7 +215,8 @@ def _apply_tate(op: Operation, x: PGmElement) -> PGmElement:
         step = k if op.kind is OperationKind.SQUARE else k * (op.prime - 1)
         if e + step >= pres.n:
             continue
-        out = out + pres.term(s, e + step, c * coeff)
+        terms.append(((s, e + step), c * coeff))
+    out = PGmElement(pres, tuple(terms))
     _check_shift(op, x, out)
     return out
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from stiefel.cli import main
@@ -106,6 +107,20 @@ class TestOperations:
     def test_power_even_prime(self):
         result = run("power", "-i", "1", "-p", "2", "r2", "-n", "4", "-m", "4")
         assert result.exit_code == 2
+
+    def test_sq_negative_index(self):
+        result = run("sq", "-i", "-2", "r1", "-n", "3")
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == "Error: operation index must be nonnegative"
+
+
+class TestBadCharacteristic:
+    @pytest.mark.parametrize("char", ["4", "-5"])
+    def test_rejected_with_usage_error(self, char):
+        result = run("mul", "r2", "r2", "-n", "3", "--char", char)
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            f"Error: the characteristic of a field is 0 or a prime, got {char}")
 
 
 class TestBasisAndSeries:

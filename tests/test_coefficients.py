@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient,
                                   binom_mod, is_prime)
-from stiefel.errors import ContextMismatch
+from stiefel.errors import ContextMismatch, InvalidPresentation
 
 Z = CoeffRing()
 Z2 = CoeffRing(2)
@@ -85,6 +85,17 @@ class TestMCoefficient:
     def test_doubling_leaves_only_degree_zero(self):
         x = mc(Z, PLAIN, (0, 5), (1, 1), (3, 1))
         assert (x + x).terms == ((0, 10),)
+
+
+class TestFieldProfile:
+    def test_characteristic_zero_or_prime(self):
+        for char in (None, 0, 2, 3, 101):
+            assert FieldProfile(characteristic=char).characteristic == char
+
+    @pytest.mark.parametrize("char", [1, 4, 9, -5])
+    def test_other_characteristics_rejected(self, char):
+        with pytest.raises(InvalidPresentation):
+            FieldProfile(characteristic=char)
 
 
 class TestBidegree:
