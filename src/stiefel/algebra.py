@@ -295,30 +295,56 @@ def all_monomials(pres: StiefelPresentation) -> list[Monomial]:
     return out
 
 
+def has_torsion_lines(pres: StiefelPresentation) -> bool:
+    """Whether lines with k >= 1 exist: R/2R is nonzero and -1 is not a
+    square."""
+    return not pres.profile.minus_one_is_square and pres.ring.reduce_mod_two(1) != 0
+
+
 def basis_in_bidegree(pres: StiefelPresentation, bd) -> list[tuple[Monomial, int]]:
-    """Basis lines (monomial, k) of the (p, q) graded piece, k the {-1}-power.
+    """Basis lines (monomial, k) of the (p, q) graded piece, k the {-1}-power,
+    sorted by (k, monomial).
 
     A line with k = 0 carries a copy of R and one with k >= 1 a copy of
     R/2R; lines whose coefficient group vanishes (R/2R = 0, or -1 a square)
     are omitted.  Negative weight gives the empty list, per the vanishing
     range of the theory.
+
+    The line {-1}^k rho_I, with S = sum(I) and L = |I|, sits in bidegree
+    (2S - L + k, S + k).  So for each k the piece is exactly the L-subsets
+    of the generators n-m+1 .. n with sum S, where S = q - k and
+    L = 2q - p - k; they are listed depth first in ascending order.  The
+    r-subsets of a run of consecutive integers a .. b reach every sum in
+    [r a + r(r-1)/2, r b - r(r-1)/2], so bounding each next index by that
+    interval prunes exactly: the walk never meets a dead end, and its cost
+    scales with the number of lines, not with 2^m.
     """
-    bd = Bidegree(*bd)
-    if bd.q < 0:
+    p, q = bd
+    if q < 0:
         return []
-    torsion_lines = (not pres.profile.minus_one_is_square
-                     and pres.ring.reduce_mod_two(1) != 0)
-    out = []
-    for mono in all_monomials(pres):
-        base = monomial_bidegree(mono)
-        k = bd.p - base.p
-        if k < 0 or bd.q - base.q != k:
-            continue
-        if k >= 1 and not torsion_lines:
-            continue
-        out.append((mono, k))
-    out.sort(key=lambda line: (line[1], line[0]))
+    lo, hi = pres.n - pres.m + 1, pres.n
+    # k ranges over S >= 0 (k <= q) and 0 <= L <= m
+    top = min(q if has_torsion_lines(pres) else 0, 2 * q - p)
+    out: list[tuple[Monomial, int]] = []
+    for k in range(max(0, 2 * q - p - pres.m), top + 1):
+        _append_subsets(out, k, (), lo, hi, 2 * q - p - k, q - k)
     return out
+
+
+def _append_subsets(out: list, k: int, prefix: Monomial, lo: int, hi: int,
+                    r: int, s: int) -> None:
+    """Append (prefix + I, k) to out for every r-subset I of lo .. hi with
+    sum s, in ascending lexicographic order."""
+    if r == 0:
+        if s == 0:
+            out.append((prefix, k))
+        return
+    # the smallest index x leaves an (r-1)-subset of x+1 .. hi with sum
+    # s - x, which exists iff x lies in [first, last]
+    first = max(lo, s - (r - 1) * hi + (r - 1) * (r - 2) // 2)
+    last = min(hi - r + 1, (s - r * (r - 1) // 2) // r)
+    for x in range(first, last + 1):
+        _append_subsets(out, k, prefix + (x,), x + 1, hi, r - 1, s - x)
 
 
 def basis_element(pres: StiefelPresentation, mono: Monomial, k: int) -> Element:

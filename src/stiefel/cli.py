@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 usage error, 3 math-context error, 4 property
-failure.  The environment variable STIEFEL_SEED overrides --seed.
+Exit codes: 0 success, 2 usage error, 3 math-context error (also a basis
+piece of more than MAX_BASIS_LINES lines), 4 property failure.  The
+environment variable STIEFEL_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import sys
 import click
 
 from . import serialize, suites
-from .algebra import Element, StiefelPresentation, basis_in_bidegree
-from .coefficients import FieldProfile
+from .algebra import (Element, StiefelPresentation, basis_in_bidegree, has_torsion_lines,
+                      poincare_polynomial)
+from .coefficients import FieldProfile, MCoefficient
 from .errors import (ContextMismatch, ElementParseError, InvalidPresentation,
                      StiefelError)
 from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
@@ -28,6 +30,8 @@ from .render import (basis_report, element_text, presentation_dict,
 
 MATH_ERROR = 3
 PROPERTY_FAILURE = 4
+# `basis` refuses pieces with more lines than this, counted before listing
+MAX_BASIS_LINES = 100_000
 
 
 def guarded(fn):
@@ -69,9 +73,16 @@ def parse_element(token: str, pres: StiefelPresentation) -> Element:
     token = token.strip()
     if token.startswith("{"):
         element = serialize.element_from_json(token)
-        if element.pres != pres:
+        if element.pres == pres:
+            return element
+        # element JSON records no characteristic: compare what it carries,
+        # then rebuild the element in the command's presentation
+        if ((element.pres.n, element.pres.m, element.pres.ring,
+             element.pres.profile.minus_one_is_square)
+                != (pres.n, pres.m, pres.ring, pres.profile.minus_one_is_square)):
             raise ContextMismatch("element JSON context differs from the command options")
-        return element
+        return Element(pres, tuple((mono, MCoefficient(pres.ring, pres.profile, c.terms))
+                                   for mono, c in element.terms))
     if token == "0":
         return pres.zero()
     if token == "1":
@@ -167,6 +178,10 @@ def power_cmd(index, prime, use_bockstein, x, n, m, coeff, minus_one, characteri
 def basis(degree, weight, n, m, coeff, minus_one, characteristic, fmt):
     """List the basis lines of one graded piece."""
     pres = build_presentation(n, m, coeff, minus_one, characteristic)
+    size = _piece_size(pres, degree, weight)
+    if size > MAX_BASIS_LINES:
+        raise StiefelError(f"bidegree ({degree},{weight}) of W({pres.n},{pres.m}) has {size} "
+                           f"basis lines, more than the {MAX_BASIS_LINES} that basis lists")
     lines = basis_in_bidegree(pres, (degree, weight))
     if fmt == "json":
         click.echo(json.dumps({
@@ -174,6 +189,15 @@ def basis(degree, weight, n, m, coeff, minus_one, characteristic, fmt):
             "lines": [{"gens": list(mono), "k": k} for mono, k in lines]}))
     else:
         click.echo(basis_report(pres, (degree, weight), lines, latex=(fmt == "latex")))
+
+
+def _piece_size(pres: StiefelPresentation, p: int, q: int) -> int:
+    """Number of basis lines in bidegree (p, q), read off the Poincare
+    polynomial: monomials at (p, q), plus those at (p - k, q - k) for
+    k >= 1 when torsion lines exist."""
+    torsion = has_torsion_lines(pres)
+    return sum(count for bd, count in poincare_polynomial(pres).items()
+               if p - bd.p == q - bd.q and (p == bd.p or torsion and p > bd.p))
 
 
 @main.command()

@@ -375,8 +375,7 @@ def suite_naturality(seed: int = 0) -> SuiteResult:
 
 def _bidegrees_up_to(pres: StiefelPresentation, max_degree: int) -> list[Bidegree]:
     out = set()
-    for mono in all_monomials(pres):
-        base = monomial_bidegree(mono)
+    for base in poincare_polynomial(pres):
         if base.p > max_degree:
             continue
         for k in range(max_degree - base.p + 1):

@@ -170,6 +170,86 @@ class TestBasis:
         assert basis_element(pres, (2,), 1) == pres.minus_one() * pres.gen(2)
 
 
+# Reference for the subset-sum enumerator: filter every monomial of
+# all_monomials, as a brute-force walk would.  The monomials are bucketed by
+# bidegree once per presentation, and every line {-1}^k mono is filed under
+# bidegree(mono) + (k, k); the enumerator's (2S - L + k, S + k) rule and its
+# pruning play no part here.
+
+def _reference_pieces(pres, max_q):
+    """Map each bidegree of weight at most max_q to its sorted basis lines."""
+    torsion = pres.ring.modulus % 2 == 0 and not pres.profile.minus_one_is_square
+    buckets = {}
+    for mono in all_monomials(pres):
+        buckets.setdefault(monomial_bidegree(mono), []).append(mono)
+    pieces = {}
+    for base, monos in buckets.items():
+        for k in range(max_q - base.q + 1 if torsion else 1):
+            pieces.setdefault(base + (k, k), []).extend((mono, k) for mono in monos)
+    for lines in pieces.values():
+        lines.sort(key=lambda line: (line[1], line[0]))
+    return pieces
+
+
+def _assert_every_piece_matches(pres):
+    # every bidegree of weight -2 .. top + 2 with q - m - 3 <= p <= 2q + 3,
+    # which frames every nonempty piece with empty ones on each side
+    max_q = sum(pres.generators) + 2
+    pieces = _reference_pieces(pres, max_q)
+    checked = set()
+    for q in range(-2, max_q + 1):
+        for p in range(q - pres.m - 3, 2 * q + 4):
+            assert basis_in_bidegree(pres, (p, q)) == pieces.get((p, q), []), (pres, p, q)
+            checked.add((p, q))
+    assert set(pieces) <= checked
+
+
+class TestEnumeratorAgainstFilter:
+    @pytest.mark.parametrize("ring,profile", [
+        (Z, PLAIN), (CoeffRing(2), PLAIN), (CoeffRing(3), PLAIN),
+        (Z, FieldProfile(minus_one_is_square=True))],
+        ids=["Z", "Z/2", "Z/3", "Z-minus-one-square"])
+    def test_every_piece_up_to_n9(self, ring, profile):
+        for n in range(1, 10):
+            for m in range(0, n + 1):
+                _assert_every_piece_matches(StiefelPresentation(n, m, ring, profile))
+
+    def test_m_zero(self):
+        # only the unit, in (0, 0), and its {-1}-multiples in (k, k)
+        pres = StiefelPresentation(6, 0)
+        assert basis_in_bidegree(pres, (0, 0)) == [((), 0)]
+        assert basis_in_bidegree(pres, (3, 3)) == [((), 3)]
+        assert basis_in_bidegree(pres, (1, 0)) == []
+        assert basis_in_bidegree(pres, (11, 6)) == []
+
+    def test_minus_one_square_keeps_free_lines_only(self):
+        pres = gl(5, profile=FieldProfile(minus_one_is_square=True))
+        assert basis_in_bidegree(pres, (8, 5)) == [((1, 4), 0), ((2, 3), 0)]
+        assert basis_in_bidegree(pres, (9, 6)) == [((1, 2, 3), 0)]
+        assert basis_in_bidegree(pres, (10, 7)) == []
+
+    def test_odd_modulus_keeps_free_lines_only(self):
+        # R/2R = 0 over Z/3, so no {-1}-shifted line survives
+        pres = gl(5, ring=CoeffRing(3))
+        assert basis_in_bidegree(pres, (9, 6)) == [((1, 2, 3), 0)]
+        assert basis_in_bidegree(pres, (10, 7)) == []
+        assert basis_in_bidegree(gl(5), (10, 7)) == [
+            ((1, 2, 3), 1), ((1, 4), 2), ((2, 3), 2), ((4,), 3)]
+
+    def test_shifted_and_mixed_piece(self):
+        # (9, 6) holds the free line r1 r2 r3 and the shifted lines
+        # {-1} r1 r4, {-1} r2 r3 and {-1}^2 r4
+        assert basis_in_bidegree(gl(5), (9, 6)) == [
+            ((1, 2, 3), 0), ((1, 4), 1), ((2, 3), 1), ((4,), 2)]
+
+    def test_negative_and_out_of_range(self):
+        pres = gl(4)
+        assert basis_in_bidegree(pres, (-3, 2)) == []
+        assert basis_in_bidegree(pres, (0, -1)) == []
+        assert basis_in_bidegree(pres, (40, 20)) == []
+        assert basis_in_bidegree(pres, (3, 30)) == []
+
+
 class TestPoincare:
     def test_w_n1(self):
         for n in (1, 3, 7):

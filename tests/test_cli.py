@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stiefel.cli import main
+from stiefel.algebra import basis_in_bidegree
+from stiefel.cli import _piece_size, build_presentation, main
 from stiefel.serialize import element_from_json
 
 
@@ -61,6 +62,29 @@ class TestMul:
                               "terms": [{"gens": [4], "mcoeff": [{"k": 0, "c": 1}]}]})
         result = run("mul", payload, "r3", "-n", "3", "-m", "3", "--coeff", "Z")
         assert result.exit_code == 3
+
+    def test_json_with_char(self):
+        # element JSON records no characteristic; --char must not make it
+        # look like a different context
+        product = run("mul", "r1", "r2", "-n", "3", "--coeff", "Z/3", "--format", "json")
+        assert product.exit_code == 0
+        result = run("mul", product.output.strip(), "r3", "-n", "3", "--coeff", "Z/3",
+                     "--char", "5")
+        assert result.exit_code == 0
+        assert result.output.strip() == "r1 r2 r3"
+
+    def test_json_with_char_keeps_coeff_mismatch(self):
+        product = run("mul", "r1", "r2", "-n", "3", "--coeff", "Z/3", "--format", "json")
+        result = run("mul", product.output.strip(), "r3", "-n", "3", "--coeff", "Z/5",
+                     "--char", "5")
+        assert result.exit_code == 3
+        assert "element JSON context differs" in result.output
+
+    def test_json_element_takes_the_command_characteristic(self):
+        # Sq^2 is inadmissible in characteristic 2, also on a JSON element
+        x = run("mul", "r2", "1", "-n", "3", "--format", "json").output.strip()
+        assert run("sq", "-i", "2", x, "-n", "3").output.strip() == "r3"
+        assert run("sq", "-i", "2", x, "-n", "3", "--char", "2").exit_code == 3
 
     def test_parse_error(self):
         result = run("mul", "bogus", "r2", "-n", "3", "-m", "3")
@@ -139,6 +163,28 @@ class TestBasisAndSeries:
                      "--coeff", "Z", "--format", "json")
         data = json.loads(result.output)
         assert data["lines"] == [{"gens": [1, 2], "k": 0}, {"gens": [2], "k": 1}]
+
+    def test_basis_size_guard(self):
+        # 1,310,802 lines over Z: refused before anything is listed
+        result = run("basis", "-p", "300", "-q", "160", "-n", "28", "--coeff", "Z")
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            "error: bidegree (300,160) of W(28,28) has 1310802 basis lines, "
+            "more than the 100000 that basis lists"]
+
+    def test_basis_size_guard_passes_empty_piece(self):
+        # over Z/3 only free lines survive, and there are none in (300, 160)
+        result = run("basis", "-p", "300", "-q", "160", "-n", "28", "--coeff", "Z/3")
+        assert result.exit_code == 0
+        assert result.output.strip() == "bidegree (300,160) of H(W(28,28); Z/3): 0"
+
+    @pytest.mark.parametrize("coeff,minus_one", [
+        ("Z", "nonsquare"), ("Z/3", "nonsquare"), ("Z", "square")])
+    def test_piece_size_counts_the_lines(self, coeff, minus_one):
+        pres = build_presentation(7, 5, coeff, minus_one, None)
+        for q in range(-1, 30):
+            for p in range(q - 7, 2 * q + 2):
+                assert _piece_size(pres, p, q) == len(basis_in_bidegree(pres, (p, q)))
 
     def test_series_gl2(self):
         result = run("series", "-n", "2", "-m", "2")
