@@ -6,85 +6,51 @@ line with k >= 1.  A ring map restricted to a graded piece is a map of
 such sums, and its kernel is computed here by lifting everything to Z:
 
     kernel = L / D,
-    L = { x in Z^a : M x lies in the lattice spanned by the t_j e_j },
+    L = { x in Z^a : row j of M x lies in t_j Z for every j },
     D = the lattice spanned by the s_i e_i,
 
 with s_i, t_j the annihilators of the source and target lines (0 for a
-free line).  L is the projection of an ordinary integer matrix kernel,
-and L/D is read off a diagonalization of D expressed in a basis of L.
+free line).  module_kernel finds both in one exact-integer elimination
+over sparse vectors: it refines a basis of L one target row at a time,
+carrying the coordinates of the D generators in that basis along, and
+then diagonalizes those coordinates, so that L/D splits into cyclic
+summands.  Its work follows the nonzero entries of the map.  There is no
+division over Q and no change of basis back to Z^a at the end.
+integer_kernel is the same elimination with every modulus 0.
+
+solve_integer and diagonalize are public helpers off the kernel path,
+kept with their names and signatures: the first solves a lattice
+membership problem over the rationals, the second diagonalizes a dense
+integer matrix while tracking the inverse row transform.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the lattice {v in Z^ncols : rows . v = 0}.
 
-    Unimodular column operations drive the matrix to column echelon form;
-    the identity matrix dragged along turns the vanished columns into a
-    kernel basis (the full kernel lattice, not a finite-index sublattice,
-    because the transform is unimodular).
+    The free generators of module_kernel with every modulus 0.  They span
+    the full kernel lattice, not a finite-index sublattice: each row changes
+    the basis unimodularly, then drops the one vector it does not vanish on.
     """
-    m = [list(r) for r in rows]
-    u = _identity(ncols)
-
-    def neg_col(j: int) -> None:
-        for row in m:
-            row[j] = -row[j]
-        for row in u:
-            row[j] = -row[j]
-
-    def addmul_col(dst: int, src: int, q: int) -> None:
-        for row in m:
-            row[dst] += q * row[src]
-        for row in u:
-            row[dst] += q * row[src]
-
-    def swap_cols(a: int, b: int) -> None:
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    pivot = 0
-    for r in range(len(m)):
-        while True:
-            live = [j for j in range(pivot, ncols) if m[r][j]]
-            if len(live) <= 1:
-                break
-            j0 = min(live, key=lambda j: abs(m[r][j]))
-            if m[r][j0] < 0:
-                neg_col(j0)
-            for j in live:
-                if j != j0:
-                    q = m[r][j] // m[r][j0]
-                    if q:
-                        addmul_col(j, j0, -q)
-        live = [j for j in range(pivot, ncols) if m[r][j]]
-        if live:
-            if live[0] != pivot:
-                swap_cols(live[0], pivot)
-            pivot += 1
-    return [[u[i][j] for i in range(ncols)] for j in range(pivot, ncols)]
+    return [v for v, _ in module_kernel(rows, [0] * ncols, [0] * len(rows))]
 
 
 def diagonalize(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Unimodular R, S with R . mat . S diagonal; returns (diagonal, R^{-1}).
 
-    Only the inverse of the row transform is tracked: the callers feed a
-    matrix of lattice generators, and column operations do not change the
-    lattice the columns generate.
+    Only the inverse of the row transform is tracked: for a matrix of
+    lattice generators, column operations do not change the lattice the
+    columns generate.
     """
     a = [list(r) for r in mat]
     nr = len(a)
     nc = len(a[0]) if a else 0
-    rinv = _identity(nr)
+    rinv = [[int(i == j) for j in range(nr)] for i in range(nr)]
 
     def row_addmul(dst: int, src: int, q: int) -> None:
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
@@ -195,6 +161,24 @@ def solve_integer(basis: list[list[int]], targets: list[list[int]]) -> list[list
     return out
 
 
+_NOT_A_MAP = "matrix does not send the source relations into the target relations"
+
+
+def _addmul(dst: dict[int, int], src: dict[int, int], q: int, owner: int,
+            index: list[set[int]]) -> None:
+    """dst += q * src on sparse vectors; index[c] holds the owners of the
+    vectors whose coordinate c is nonzero."""
+    for c, v in src.items():
+        w = dst.get(c, 0) + q * v
+        if w:
+            if c not in dst:
+                index[c].add(owner)
+            dst[c] = w
+        else:
+            del dst[c]
+            index[c].discard(owner)
+
+
 def module_kernel(matrix: list[list[int]], src_moduli: list[int],
                   tgt_moduli: list[int]) -> list[tuple[list[int], int]]:
     """Generators of the kernel of a map between direct sums of cyclic groups.
@@ -203,29 +187,105 @@ def module_kernel(matrix: list[list[int]], src_moduli: list[int],
     (modulus 0 marks a copy of Z).  Returns (vector, order) pairs giving
     independent generators of the kernel subgroup, order 0 marking a free
     generator; coordinates come back reduced modulo their line modulus.
+
+    The elimination keeps a basis b_i of L, starting from the unit vectors,
+    and the coordinates c_i of the D generators in it (s_k e_k is the sum
+    of c_i[k] b_i), starting from the s_i.  Every basis operation
+    b_i += q b_j is mirrored as c_j -= q c_i, so the c_i never have to be
+    solved for.
+
+    1. Each target row (modulus t) is evaluated on the basis vectors that
+       meet its nonzero columns, and the values are reduced mod t.  Euclid
+       steps between those vectors leave one survivor of value g.  For
+       t = 0 the survivor leaves the basis; for t > 0 it is multiplied by
+       the order of g in Z/t, and its c entries are divided by it.
+    2. The c_i are diagonalized.  Operations among the D generators are
+       free; operations among the c_i are mirrored back on the basis.
+       A basis vector then carries a single D generator d b_i, or none,
+       and it spans a summand Z/d (Z for none) of L/D.
+
+    Raises ValueError when the matrix does not define a map, that is, when
+    some s_i e_i is not sent into the target relations.
     """
     a = len(src_moduli)
-    aug_cols = [j for j, t in enumerate(tgt_moduli) if t != 0]
-    rows = []
-    for j, row in enumerate(matrix):
-        r = list(row)
-        r.extend(-tgt_moduli[jj] if jj == j else 0 for jj in aug_cols)
-        rows.append(r)
-    lifted = integer_kernel(rows, a + len(aug_cols))
-    # the projection to the source block is injective on the lifted kernel
-    basis = [v[:a] for v in lifted]
-    d_cols = [[s if i == r else 0 for i in range(a)]
-              for r, s in enumerate(src_moduli) if s != 0]
-    coeffs = solve_integer(basis, d_cols)
-    diag, rinv = diagonalize(coeffs)
+    basis = {j: {j: 1} for j in range(a)}
+    coords = {j: ({j: s} if s else {}) for j, s in enumerate(src_moduli)}
+    owners = [{j} for j in range(a)]   # source coordinate -> basis vectors using it
+    users = [{j} if s else set() for j, s in enumerate(src_moduli)]   # D generator -> c_i
+
+    def combine(i: int, j: int, q: int) -> None:
+        # b_i += q b_j, mirrored as c_j -= q c_i
+        _addmul(basis[i], basis[j], q, i, owners)
+        _addmul(coords[j], coords[i], -q, j, users)
+
+    for row, t in zip(matrix, tgt_moduli):
+        cols = [(c, v) for c, v in enumerate(row) if v]
+        values = {}
+        for i in set().union(*(owners[c] for c, _ in cols)):
+            value = sum(v * basis[i].get(c, 0) for c, v in cols)
+            value = value % t if t else value
+            if value:
+                values[i] = value
+        while len(values) > 1:
+            j = min(values, key=lambda i: abs(values[i]))
+            for i in [i for i in values if i != j]:
+                q = values[i] // values[j]
+                combine(i, j, -q)
+                values[i] -= q * values[j]
+                if not values[i]:
+                    del values[i]
+        for j, g in values.items():
+            if t:
+                scale = t // math.gcd(g, t)
+                if any(v % scale for v in coords[j].values()):
+                    raise ValueError(_NOT_A_MAP)
+                basis[j] = {c: v * scale for c, v in basis[j].items()}
+                coords[j] = {k: v // scale for k, v in coords[j].items()}
+            else:
+                if coords[j]:
+                    raise ValueError(_NOT_A_MAP)
+                for c in basis.pop(j):
+                    owners[c].discard(j)
+                del coords[j]
+
+    orders = {}
+    pending = {k for k in range(a) if users[k]}
+    while pending:
+        k = pending.pop()
+        while True:
+            i = min(users[k], key=lambda h: abs(coords[h][k]))
+            p = coords[i][k]
+            for h in [h for h in users[k] if h != i]:
+                combine(i, h, coords[h][k] // p)
+            if len(users[k]) > 1:
+                continue  # remainders smaller than the pivot; pivot again in column k
+            # column k is {i}: operations among the D generators on column k
+            # now change c_i alone
+            ci = coords[i]
+            for col in [col for col in ci if col != k]:
+                ci[col] %= p
+                if not ci[col]:
+                    del ci[col]
+                    users[col].discard(i)
+            if len(ci) == 1:
+                orders[i] = abs(p)
+                del ci[k]
+                users[k].discard(i)
+                break
+            # a remainder smaller than the pivot: pivot again in its column
+            pending.add(k)
+            k = min((col for col in ci if col != k), key=lambda col: abs(ci[col]))
+            pending.discard(k)
+
     out = []
-    for t in range(len(basis)):
-        order = abs(diag[t]) if t < len(diag) else 0
+    for i, vec in basis.items():
+        order = orders.get(i, 0)
         if order == 1:
             continue
-        vec = [sum(rinv[i][t] * basis[i][coord] for i in range(len(basis)))
-               for coord in range(a)]
-        vec = [v % s if s else v for v, s in zip(vec, src_moduli)]
-        if any(vec):
-            out.append((vec, order))
+        dense = [0] * a
+        for c, v in vec.items():
+            s = src_moduli[c]
+            dense[c] = v % s if s else v
+        if any(dense):
+            out.append((dense, order))
     return out

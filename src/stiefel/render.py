@@ -17,10 +17,11 @@ def _power(base: str, k: int, latex: bool) -> str:
     return f"{base}^{{{k}}}" if latex else f"{base}^{k}"
 
 
-def _mcoeff_parts(c: MCoefficient, latex: bool) -> list[str]:
+def _coeff_text(terms, latex: bool) -> str:
+    """The text of a coefficient given by its (k, value) terms."""
     minus_one = r"\{-1\}" if latex else "{-1}"
     parts = []
-    for k, v in c.terms:
+    for k, v in terms:
         if k == 0:
             parts.append(str(v))
             continue
@@ -28,21 +29,20 @@ def _mcoeff_parts(c: MCoefficient, latex: bool) -> list[str]:
         if v != 1:
             piece = f"{v} {piece}" if not latex else f"{v}{piece}"
         parts.append(piece)
-    return parts
-
-
-def mcoeff_text(c: MCoefficient, latex: bool = False) -> str:
-    parts = _mcoeff_parts(c, latex)
     return " + ".join(parts) if parts else "0"
 
 
-def _term_text(mono_str: str, c: MCoefficient, latex: bool) -> str:
+def mcoeff_text(c: MCoefficient, latex: bool = False) -> str:
+    return _coeff_text(c.terms, latex)
+
+
+def _term_text(mono_str: str, terms, latex: bool) -> str:
     if not mono_str:
-        return mcoeff_text(c, latex)
-    if c.terms == ((0, 1),):
+        return _coeff_text(terms, latex)
+    if terms == ((0, 1),):
         return mono_str
-    coeff = mcoeff_text(c, latex)
-    if len(c.terms) > 1:
+    coeff = _coeff_text(terms, latex)
+    if len(terms) > 1:
         coeff = f"({coeff})"
     return f"{coeff}{mono_str}" if latex else f"{coeff} {mono_str}"
 
@@ -69,7 +69,7 @@ def element_text(x: Element | PGmElement, latex: bool = False) -> str:
     pieces = []
     for key, c in x.terms:
         mono = _pgm_mono(key, latex) if isinstance(x, PGmElement) else _stiefel_mono(key, latex)
-        pieces.append(_term_text(mono, c, latex))
+        pieces.append(_term_text(mono, c.terms, latex))
     return " + ".join(pieces)
 
 
@@ -167,8 +167,8 @@ def basis_report(pres: StiefelPresentation, bd, lines, latex: bool = False) -> s
     header = (f"bidegree ({bd[0]},{bd[1]}) of H(W({pres.n},{pres.m}); {ring}): "
               + (" (+) ".join(group) if group else "0"))
     out = [header]
-    from .algebra import basis_element
-
+    # a line {-1}^k * mono has the unit coefficient of R (k = 0) or of R/2R,
+    # so it is rendered from its terms without building the element
     for mono, k in lines:
-        out.append(f"  k={k}: {element_text(basis_element(pres, mono, k), latex=latex)}")
+        out.append(f"  k={k}: {_term_text(_stiefel_mono(mono, latex), ((k, 1),), latex)}")
     return "\n".join(out)

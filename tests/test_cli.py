@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stiefel.algebra import basis_in_bidegree
+from stiefel.algebra import basis_element, basis_in_bidegree
 from stiefel.cli import _piece_size, build_presentation, main
+from stiefel.render import basis_report, element_text
 from stiefel.serialize import element_from_json
 
 
@@ -185,6 +186,24 @@ class TestBasisAndSeries:
         for q in range(-1, 30):
             for p in range(q - 7, 2 * q + 2):
                 assert _piece_size(pres, p, q) == len(basis_in_bidegree(pres, (p, q)))
+
+    @pytest.mark.parametrize("coeff,minus_one", [
+        ("Z", "nonsquare"), ("Z/2", "nonsquare"), ("Z/3", "nonsquare"), ("Z", "square")])
+    def test_report_lines_match_element_text(self, coeff, minus_one):
+        # each line of basis_report reads as element_text of the line's element,
+        # on every piece of W(n, m), n <= 7, of weight up to the top one + 1
+        for n in range(1, 8):
+            for m in range(0, n + 1):
+                pres = build_presentation(n, m, coeff, minus_one, None)
+                top = sum(pres.generators) + 1
+                for q in range(0, top + 1):
+                    for p in range(q - m, 2 * q + 1):
+                        lines = basis_in_bidegree(pres, (p, q))
+                        for latex in (False, True):
+                            report = basis_report(pres, (p, q), lines, latex=latex)
+                            assert report.splitlines()[1:] == [
+                                f"  k={k}: {element_text(basis_element(pres, mono, k), latex)}"
+                                for mono, k in lines]
 
     def test_series_gl2(self):
         result = run("series", "-n", "2", "-m", "2")

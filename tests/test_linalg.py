@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from stiefel.linalg import diagonalize, integer_kernel, module_kernel, solve_integer
 
 
@@ -155,13 +157,18 @@ def subgroup_closure(gens, src_moduli):
 
 
 def random_well_defined_map(rng, src_moduli, tgt_moduli):
-    """Matrix entries chosen so each column kills its source annihilator."""
+    """Matrix entries chosen so each column kills its source annihilator
+    (modulus 0 marks a copy of Z)."""
     import math
     matrix = []
     for t in tgt_moduli:
         row = []
         for s in src_moduli:
-            # hom(Z/s, Z/t) is generated by t / gcd(s, t)
+            if not t:
+                # hom(Z, Z) = Z and hom(Z/s, Z) = 0
+                row.append(0 if s else rng.randint(-6, 6))
+                continue
+            # hom(Z/s, Z/t) is generated by t / gcd(s, t); gcd(0, t) = t
             step = t // math.gcd(s, t)
             row.append(step * rng.randrange(0, max(1, t // step)))
         matrix.append(row)
@@ -217,3 +224,117 @@ class TestModuleKernel:
 
     def test_no_columns(self):
         assert module_kernel([[], []], [], [2, 4]) == []
+
+
+# --------------------------------------------------------------------------
+# Independent oracle: the kernel of sum Z/s_j -> sum Z/t_i is H_1 of the
+# mapping cone Z^a' -> Z^a + Z^b' -> Z^b of the two presentations, with
+# d1 = [A | T'] and d2 = [D; -X], where D and T' hold the relations s_j e_j
+# and t_i e_i and X = T'^{-1} A D.  Its torsion is the non-unit part of the
+# Smith form of d2 (ker d1 is saturated), and its free rank is
+# a + b' - rank d1 - rank d2.  sympy computes both; nothing of linalg is used.
+
+def _elementary_divisors(orders):
+    """The prime-power factors of each order, as one sorted list."""
+    out = []
+    for order in orders:
+        p = 2
+        while order > 1:
+            power = 1
+            while order % p == 0:
+                order //= p
+                power *= p
+            if power > 1:
+                out.append(power)
+            p += 1
+    return sorted(out)
+
+
+def _cone_invariants(matrix, src_moduli, tgt_moduli):
+    """(free rank, elementary divisors) of the kernel, from sympy alone."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    a = len(src_moduli)
+    rel_src = [j for j, s in enumerate(src_moduli) if s]
+    rel_tgt = [i for i, t in enumerate(tgt_moduli) if t]
+    ad = [[row[j] * src_moduli[j] for j in rel_src] for row in matrix]
+    assert all(not v for i, t in enumerate(tgt_moduli) if not t for v in ad[i])
+    assert all(v % tgt_moduli[i] == 0 for i in rel_tgt for v in ad[i])
+    d1 = [[ZZ(v) for v in row] + [ZZ(t if i == r else 0) for i in rel_tgt]
+          for r, (row, t) in enumerate(zip(matrix, tgt_moduli))]
+    d2 = ([[ZZ(src_moduli[r] if j == r else 0) for j in rel_src] for r in range(a)]
+          + [[ZZ(-v // tgt_moduli[i]) for v in ad[i]] for i in rel_tgt])
+    d1 = DomainMatrix(d1, (len(tgt_moduli), a + len(rel_tgt)), ZZ)
+    d2 = DomainMatrix(d2, (a + len(rel_tgt), len(rel_src)), ZZ)
+    free = a + len(rel_tgt) - d1.rank() - d2.rank()
+    return free, _elementary_divisors(int(d) for d in invariant_factors(d2) if d > 1)
+
+
+def _assert_matches_cone(matrix, src_moduli, tgt_moduli):
+    gens = module_kernel(matrix, src_moduli, tgt_moduli)
+    for vec, order in gens:
+        assert order != 1
+        image = mat_vec(matrix, vec)
+        assert all(v % t == 0 if t else v == 0 for v, t in zip(image, tgt_moduli))
+    got = (sum(1 for _, order in gens if order == 0),
+           _elementary_divisors(order for _, order in gens if order))
+    assert got == _cone_invariants(matrix, src_moduli, tgt_moduli), (
+        matrix, src_moduli, tgt_moduli, gens)
+
+
+def _piece_map(f, bd):
+    """The matrix and line moduli of f on the piece bd, rebuilt from
+    apply_map on the basis lines."""
+    from stiefel import algebra, targets
+    from stiefel.maps import apply_map
+
+    src_lines = algebra.basis_in_bidegree(f.source, bd)
+    enumerate_target = (algebra.basis_in_bidegree
+                        if isinstance(f.target, algebra.StiefelPresentation)
+                        else targets.basis_in_bidegree)
+    tgt_lines = enumerate_target(f.target, bd)
+    row_of = {line: r for r, line in enumerate(tgt_lines)}
+    matrix = [[0] * len(src_lines) for _ in tgt_lines]
+    for col, (mono, k) in enumerate(src_lines):
+        for key, c in apply_map(f, algebra.basis_element(f.source, mono, k)).terms:
+            for kk, value in c.terms:
+                matrix[row_of[(key, kk)]][col] = value
+
+    def modulus(ring, k):
+        return ring.modulus if k == 0 else 2
+
+    return (matrix, [modulus(f.source.ring, k) for _, k in src_lines],
+            [modulus(f.target.ring, k) for _, k in tgt_lines])
+
+
+class TestModuleKernelAgainstSmithForm:
+    def test_random_mixed_maps(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(5)
+        for _ in range(300):
+            src = [rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(0, 5))]
+            tgt = [rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(0, 5))]
+            _assert_matches_cone(random_well_defined_map(rng, src, tgt), src, tgt)
+
+    @pytest.mark.parametrize("modulus", [0, 2], ids=["Z", "Z/2"])
+    def test_every_piece_of_imm_cmp_proj(self, modulus):
+        pytest.importorskip("sympy")
+        from stiefel.algebra import poincare_polynomial
+        from stiefel.coefficients import CoeffRing
+        from stiefel.maps import comparison_map, immersion_pullback, projection_pullback
+
+        ring = CoeffRing(modulus)
+        for n in range(2, 8):
+            maps = [immersion_pullback(n, n, ring), comparison_map(n, ring),
+                    projection_pullback(n, n - 1, n, ring)]
+            top = sum(range(1, n + 1))
+            # every piece of weight up to the top one: lines {-1}^k rho_I sit
+            # at bidegree(rho_I) + (k, k), since R/2R = Z/2 here
+            pieces = {(p + k, q + k) for p, q in poincare_polynomial(maps[0].source)
+                      for k in range(top - q + 1)}
+            for f in maps:
+                for bd in sorted(pieces):
+                    _assert_matches_cone(*_piece_map(f, bd))
