@@ -16,8 +16,7 @@ from .errors import (ContextMismatch, ElementParseError, InadmissibleOperation,
 from .maps import (RingMap, SymmetryKind, apply_map, comparison_map, compose,
                    immersion_pullback, kernel_basis, projection_pullback,
                    ring_map, symmetry_pullback)
-from .operations import (Operation, OperationKind, apply_operation, bockstein,
-                         bockstein_on_generator, odd_sq_on_generator, power,
+from .operations import (Operation, OperationKind, apply_operation, bockstein, power,
                          power_on_generator, sq_on_generator, square)
 from .targets import (PGmElement, PGmPresentation, sq_projective,
                       total_square_oracle)

@@ -133,6 +133,12 @@ class TestOperations:
         result = run("power", "-i", "1", "-p", "2", "r2", "-n", "4", "-m", "4")
         assert result.exit_code == 2
 
+    def test_sq_huge_index_answers_zero(self):
+        # the generator table stops at n, so no loop runs over the index
+        result = run("sq", "-i", "2000000000", "r3", "-n", "3", "-m", "3", "--coeff", "Z/2")
+        assert result.exit_code == 0
+        assert result.output.strip() == "0"
+
     def test_sq_negative_index(self):
         result = run("sq", "-i", "-2", "r1", "-n", "3")
         assert result.exit_code == 2

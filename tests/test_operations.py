@@ -1,13 +1,15 @@
+import gc
 import math
 
 import pytest
 
-from stiefel.algebra import StiefelPresentation, random_element
-from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile
+from stiefel import operations
+from stiefel.algebra import Element, StiefelPresentation, all_monomials, random_element
+from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import InadmissibleOperation, InvalidGenerator
-from stiefel.operations import (Operation, OperationKind, apply_operation, bockstein,
-                                bockstein_on_generator, odd_sq_on_generator, power,
+from stiefel.operations import (Operation, OperationKind, apply_operation, bockstein, power,
                                 power_on_generator, sq_on_generator, square)
+from stiefel.serialize import element_to_json
 from stiefel.targets import PGmPresentation
 
 PLAIN = FieldProfile()
@@ -58,9 +60,9 @@ class TestGeneratorFormulas:
     def test_odd_squares_vanish(self):
         pres = gl(4, 2)
         for j in pres.generators:
-            assert not odd_sq_on_generator(j, pres)
-        assert not apply_operation(square(1), pres.gen(2))
-        assert not apply_operation(square(3), pres.gen(3))
+            for k in (1, 3, 5, 7):
+                assert not apply_operation(square(k), pres.gen(j))
+        assert not apply_operation(square(3), pres.monomial((2, 3), 1) + pres.minus_one())
 
     def test_p1_rho2_gl4_at_3(self):
         pres = gl(4, 3)
@@ -79,7 +81,7 @@ class TestGeneratorFormulas:
     def test_bockstein_vanishes(self):
         pres = gl(4, 5)
         for j in pres.generators:
-            assert not bockstein_on_generator(j, 5, pres)
+            assert not apply_operation(bockstein(5), pres.gen(j))
         assert not apply_operation(bockstein(5), pres.gen(2) + pres.gen(3))
 
     def test_full_table_against_factorials(self):
@@ -121,12 +123,32 @@ class TestAdmissibility:
         assert sq_on_generator(1, 2, pres) == pres.gen(3)
 
     def test_invalid_generator(self):
+        pres = StiefelPresentation(4, 2, CoeffRing(2), PLAIN)
         with pytest.raises(InvalidGenerator):
-            sq_on_generator(1, 1, StiefelPresentation(4, 2, CoeffRing(2), PLAIN))
+            sq_on_generator(1, 1, pres)
+        # an element never carries rho_1 in W(4,2), so no operation sees it
+        with pytest.raises(InvalidGenerator):
+            apply_operation(square(1), pres.gen(1))
+        with pytest.raises(InvalidGenerator):
+            apply_operation(bockstein(3), StiefelPresentation(4, 2, CoeffRing(3)).monomial((1,)))
 
     def test_even_prime_for_power(self):
         with pytest.raises(InadmissibleOperation):
             power_on_generator(1, 2, 2, gl(3, 2))
+
+    def test_odd_operations_check_the_context(self):
+        # the zero values of the odd square and the Bockstein still need
+        # Z/p coefficients and a ground field of characteristic other than p
+        with pytest.raises(InadmissibleOperation):
+            apply_operation(square(3), StiefelPresentation(3, 3).gen(2))
+        with pytest.raises(InadmissibleOperation):
+            apply_operation(bockstein(5), gl(3, 3).gen(2))
+        bad2 = StiefelPresentation(3, 3, CoeffRing(2), FieldProfile(characteristic=2))
+        with pytest.raises(InadmissibleOperation):
+            apply_operation(square(1), bad2.gen(2))
+        bad3 = StiefelPresentation(3, 3, CoeffRing(3), FieldProfile(characteristic=3))
+        with pytest.raises(InadmissibleOperation):
+            apply_operation(bockstein(3), bad3.gen(2))
 
 
 class TestCartan:
@@ -188,6 +210,117 @@ class TestCartan:
             for b in range(limit):
                 rhs = rhs + apply_operation(square(2 * a), x) * apply_operation(square(2 * b), y)
         assert lhs == rhs
+
+
+def reference_cartan(op, pres):
+    """The Element-valued Cartan recursion that the integer kernel replaced,
+    kept as the reference: every cache entry is an Element, every step a
+    product with the one-term value of sq_on_generator or power_on_generator.
+
+    Returns cartan(mono, k), the degree-k operation on the monomial mono;
+    its cache lives as long as the returned function."""
+    if op.kind is OperationKind.SQUARE:
+        def gen_action(b, j):
+            return sq_on_generator(b, j, pres)
+    else:
+        def gen_action(b, j):
+            return power_on_generator(b, j, op.prime, pres)
+    cache = {}
+
+    def cartan(mono, k):
+        if not mono:
+            return pres.unit() if k == 0 else pres.zero()
+        key = (mono, k)
+        if key not in cache:
+            head, last = mono[:-1], mono[-1]
+            terms = []
+            for b in range(k + 1):
+                g = gen_action(b, last)
+                if g:
+                    terms.extend((cartan(head, k - b) * g).terms)
+            cache[key] = Element(pres, tuple(terms))
+        return cache[key]
+
+    return cartan
+
+
+def reference_apply(cartan, op, x):
+    terms = []
+    for mono, c in x.terms:
+        terms.extend((cartan(mono, op.index) * c).terms)
+    return Element(x.pres, tuple(terms))
+
+
+# Sq^{2i}, i <= 8, over Z/2 with and without -1 a square; P^i, i <= 4, at 3 and 5
+OPERATION_GRID = {
+    "Z/2": (2, PLAIN, [square(2 * i) for i in range(9)]),
+    "Z/2, -1 a square": (2, FieldProfile(minus_one_is_square=True),
+                         [square(2 * i) for i in range(9)]),
+    "Z/3": (3, PLAIN, [power(i, 3) for i in range(5)]),
+    "Z/5": (5, PLAIN, [power(i, 5) for i in range(5)]),
+}
+
+
+def operation_contexts(context):
+    """(presentation, operations) for W(n, m), n <= 8, in one context."""
+    p, profile, ops = OPERATION_GRID[context]
+    for n in range(1, 9):
+        for m in range(n + 1):
+            yield StiefelPresentation(n, m, CoeffRing(p), profile), ops
+
+
+@pytest.mark.parametrize("context", sorted(OPERATION_GRID))
+class TestKernelAgainstReference:
+    def test_every_twisted_monomial(self, context):
+        for pres, ops in operation_contexts(context):
+            for op in ops:
+                cartan = reference_cartan(op, pres)
+                for mono in all_monomials(pres):
+                    for k in range(3):
+                        x = pres.monomial(mono, MCoefficient.minus_one(pres.ring, pres.profile, k))
+                        assert (element_to_json(apply_operation(op, x))
+                                == element_to_json(reference_apply(cartan, op, x))), \
+                            (op.describe(), pres, mono, k)
+
+    def test_seeded_sums(self, context):
+        for pres, ops in operation_contexts(context):
+            for seed in range(4):
+                x = pres.zero()
+                for part in range(3):
+                    x = x + random_element(pres, None, seed=10 * seed + part)
+                x = x * random_element(pres, None, seed=1000 + seed) + x
+                for op in ops:
+                    assert (element_to_json(apply_operation(op, x))
+                            == element_to_json(reference_apply(reference_cartan(op, pres), op, x))), \
+                        (op.describe(), pres, seed)
+
+
+class TestKernelCost:
+    def test_huge_index_needs_no_loop_over_it(self, monkeypatch):
+        calls = []
+        binom_mod = operations.binom_mod
+
+        def counting_binom(a, b, p):
+            calls.append(b)
+            return binom_mod(a, b, p)
+
+        monkeypatch.setattr(operations, "binom_mod", counting_binom)
+        pres = gl(6, 2)
+        x = pres.monomial(pres.generators) + random_element(pres, None, seed=3)
+        assert not apply_operation(square(2 * 10**9), x)
+        # b <= (n - j) // (p - 1) per generator: 6 + 5 + ... + 1 values
+        assert len(calls) <= 21 and max(calls) <= 5
+
+    def test_no_garbage_cycles(self):
+        pres = StiefelPresentation(12, 12, CoeffRing(2), PLAIN)
+        x = pres.monomial((2, 3, 5, 8, 11))
+        gc.collect()
+        gc.disable()
+        try:
+            assert apply_operation(square(6), x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTateAction:
