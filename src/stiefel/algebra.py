@@ -16,6 +16,10 @@ given by the parity of the crossing pairs; overlapping ones are contracted
 by the squaring rule (see _normal_word).  Coefficients of one product are
 summed as integers per monomial and {-1}-power and normalised once per
 output monomial.
+
+Element is the element type of every computed ring: it reads the keys and
+their product from a Presentation, here StiefelPresentation and, for the
+Tate target, targets.PGmPresentation.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
-from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation
+from .errors import (ContextMismatch, ElementParseError, InvalidGenerator,
+                     InvalidPresentation, json_int)
 
 Monomial = tuple[int, ...]
 
@@ -36,18 +41,60 @@ def monomial_bidegree(mono: Monomial) -> Bidegree:
     return Bidegree(sum(2 * i - 1 for i in mono), sum(mono))
 
 
+class Presentation:
+    """What Element reads from a ring with a monomial M-basis, in which a
+    product of two basis keys is sign * {-1}^twist * key or zero.
+
+    A presentation is a frozen dataclass with fields n, ring and profile.
+    It supplies check_key(key) (the canonical key, or ValueError),
+    sort_key(key) (the term order of the normal form), key_bidegree(key),
+    codec() (encode and decode between keys and ints, and product(n, a, b)
+    giving (code, sign, twist) or None for zero), lines(bd) (the basis
+    lines (key, k) of a graded piece), random_key(rng), the JSON fields
+    json_fields, key_fields, key_to_json(key) and key_from_json(entry), and
+    unit_key.  The elements built below are the same in every ring.
+    """
+
+    def zero(self) -> "Element":
+        return Element(self, ())
+
+    def scalar(self, c: MCoefficient) -> "Element":
+        if c.ring != self.ring or c.profile != self.profile:
+            raise ContextMismatch("scalar coefficient from a different context")
+        return Element(self, ((self.unit_key, c),))
+
+    def unit(self, c: int = 1) -> "Element":
+        return self.scalar(MCoefficient.integer(self.ring, self.profile, c))
+
+    def minus_one(self, power: int = 1) -> "Element":
+        """The base class {-1}^power as a ring element."""
+        return self.scalar(MCoefficient.minus_one(self.ring, self.profile, power))
+
+    def element(self, key, coeff: int | MCoefficient = 1) -> "Element":
+        """coeff times the basis key."""
+        if not isinstance(coeff, MCoefficient):
+            coeff = MCoefficient.integer(self.ring, self.profile, coeff)
+        return Element(self, ((key, coeff),))
+
+
 @dataclass(frozen=True)
-class StiefelPresentation:
+class StiefelPresentation(Presentation):
     """Presentation data for H(W(n, m); R).
 
     A value object: two presentations with the same ambient dimension,
     frame length, coefficient ring and field profile are the same ring.
+    Keys are monomials; products encode them as bitmasks.
     """
 
     n: int
     m: int
     ring: CoeffRing = CoeffRing()
     profile: FieldProfile = FieldProfile()
+
+    unit_key = ()
+    json_fields = ("n", "m")
+    key_fields = ("gens",)
+    key_bidegree = staticmethod(monomial_bidegree)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -65,31 +112,13 @@ class StiefelPresentation:
     def is_generator(self, i: int) -> bool:
         return self.n - self.m + 1 <= i <= self.n
 
-    def zero(self) -> "Element":
-        return Element(self, ())
-
-    def scalar(self, c: MCoefficient) -> "Element":
-        if c.ring != self.ring or c.profile != self.profile:
-            raise ContextMismatch("scalar coefficient from a different context")
-        return Element(self, (((), c),))
-
-    def unit(self, c: int = 1) -> "Element":
-        return self.scalar(MCoefficient.integer(self.ring, self.profile, c))
-
-    def minus_one(self, power: int = 1) -> "Element":
-        """The base class {-1}^power as a ring element."""
-        return self.scalar(MCoefficient.minus_one(self.ring, self.profile, power))
-
     def gen(self, i: int) -> "Element":
         if not self.is_generator(i):
             raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
         return Element(self, (((i,), MCoefficient.one(self.ring, self.profile)),))
 
     def monomial(self, indices: Iterable[int], coeff: int | MCoefficient = 1) -> "Element":
-        mono = tuple(indices)
-        if not isinstance(coeff, MCoefficient):
-            coeff = MCoefficient.integer(self.ring, self.profile, coeff)
-        return Element(self, ((mono, coeff),))
+        return self.element(tuple(indices), coeff)
 
     def gen_square(self, i: int) -> "Element":
         """The value of rho_i^2 forced by the defining relation."""
@@ -99,43 +128,71 @@ class StiefelPresentation:
             return self.zero()
         return self.minus_one() * self.gen(2 * i - 1)
 
+    def check_key(self, mono: Iterable[int]) -> Monomial:
+        mono = tuple(mono)
+        if list(mono) != sorted(set(mono)):
+            raise ValueError(f"monomial indices must be strictly increasing, got {mono}")
+        for i in mono:
+            if not self.is_generator(i):
+                raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
+        return mono
+
+    @staticmethod
+    def sort_key(mono: Monomial) -> tuple:
+        return len(mono), mono
+
+    def codec(self):
+        return _mask, _monomial, _normal_word
+
+    def lines(self, bd) -> list[tuple[Monomial, int]]:
+        return basis_in_bidegree(self, bd)
+
+    def random_key(self, rng: random.Random) -> Monomial:
+        return tuple(i for i in self.generators if rng.random() < 0.5)
+
+    @staticmethod
+    def key_to_json(mono: Monomial) -> dict:
+        return {"gens": list(mono)}
+
+    @staticmethod
+    def key_from_json(entry: dict) -> Monomial:
+        if not isinstance(entry["gens"], list):
+            raise ElementParseError("gens must be a list")
+        return tuple(json_int(g, "generator index") for g in entry["gens"])
+
 
 @dataclass(frozen=True)
 class Element:
-    """A class in H(W(n, m); R), in normal form.
+    """A class in one of the computed rings, in normal form.
 
-    terms pairs squarefree monomials with nonzero MCoefficients, stored
-    sorted by (length, indices) so that equal elements compare equal.  An
-    element may be inhomogeneous; it is then the sum of its homogeneous
-    parts.
+    terms pairs the keys of the presentation (monomial tuples for
+    H(W(n, m)), (s, e) for the Tate target) with nonzero MCoefficients,
+    stored in the presentation's key order so that equal elements compare
+    equal.  An element may be inhomogeneous; it is then the sum of its
+    homogeneous parts.
     """
 
-    pres: StiefelPresentation
-    terms: tuple[tuple[Monomial, MCoefficient], ...]
+    pres: Presentation
+    terms: tuple[tuple[Hashable, MCoefficient], ...]
 
     def __post_init__(self) -> None:
-        acc: dict[Monomial, MCoefficient] = {}
-        for mono, c in self.terms:
-            mono = tuple(mono)
-            if list(mono) != sorted(set(mono)):
-                raise ValueError(f"monomial indices must be strictly increasing, got {mono}")
-            for i in mono:
-                if not self.pres.is_generator(i):
-                    raise InvalidGenerator(
-                        f"rho_{i} is not a generator of W({self.pres.n},{self.pres.m})")
-            if c.ring != self.pres.ring or c.profile != self.pres.profile:
+        pres = self.pres
+        check = pres.check_key
+        acc: dict = {}
+        for key, c in self.terms:
+            key = check(key)
+            if c.ring != pres.ring or c.profile != pres.profile:
                 raise ContextMismatch("coefficient from a different context")
-            acc[mono] = acc[mono] + c if mono in acc else c
-        normal = tuple(sorted(((m, c) for m, c in acc.items() if c),
-                              key=lambda t: (len(t[0]), t[0])))
+            acc[key] = acc[key] + c if key in acc else c
+        order = pres.sort_key
+        normal = tuple(sorted(((k, c) for k, c in acc.items() if c),
+                              key=lambda t: order(t[0])))
         object.__setattr__(self, "terms", normal)
 
     def _require_same_ring(self, other: "Element") -> None:
         if self.pres != other.pres:
             raise ContextMismatch(
-                f"elements live in different rings: W({self.pres.n},{self.pres.m}) over "
-                f"{self.pres.ring.name} vs W({other.pres.n},{other.pres.m}) over "
-                f"{other.pres.ring.name}")
+                f"elements live in different rings: {self.pres!r} vs {other.pres!r}")
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same_ring(other)
@@ -155,20 +212,21 @@ class Element:
         self._require_same_ring(other)
         pres = self.pres
         n = pres.n
-        ys = [(_mask(m2), c2.terms) for m2, c2 in other.terms]
-        # coefficients summed in Z[{-1}] per (monomial, {-1}-power), then
-        # reduced once per monomial: reduction is a ring homomorphism
+        encode, decode, product = pres.codec()
+        ys = [(encode(k2), c2.terms) for k2, c2 in other.terms]
+        # coefficients summed in Z[{-1}] per (key, {-1}-power), then reduced
+        # once per key: reduction is a ring homomorphism
         acc: dict[int, dict[int, int]] = {}
-        for m1, c1 in self.terms:
-            a, t1 = _mask(m1), c1.terms
+        for key, c1 in self.terms:
+            a, t1 = encode(key), c1.terms
             for b, t2 in ys:
-                nf = _normal_word(n, a, b)
+                nf = product(n, a, b)
                 if nf is None:
                     continue
-                mask, sign, twist = nf
-                powers = acc.get(mask)
+                code, sign, twist = nf
+                powers = acc.get(code)
                 if powers is None:
-                    powers = acc[mask] = {}
+                    powers = acc[code] = {}
                 for k1, v1 in t1:
                     k1 += twist
                     v1 *= sign
@@ -177,8 +235,8 @@ class Element:
                         powers[k] = powers.get(k, 0) + v1 * v2
         ring, profile = pres.ring, pres.profile
         return Element(pres, tuple(
-            (_monomial(mask), MCoefficient(ring, profile, tuple(powers.items())))
-            for mask, powers in acc.items()))
+            (decode(code), MCoefficient(ring, profile, tuple(powers.items())))
+            for code, powers in acc.items()))
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, MCoefficient)):
@@ -193,19 +251,19 @@ class Element:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, mono: Iterable[int]) -> MCoefficient:
-        mono = tuple(mono)
+    def coefficient(self, key: Iterable[int]) -> MCoefficient:
+        key = tuple(key)
         for m, c in self.terms:
-            if m == mono:
+            if m == key:
                 return c
         return MCoefficient.zero(self.pres.ring, self.pres.profile)
 
     def bidegrees(self) -> set[Bidegree]:
-        """Bidegrees of the homogeneous constituents, one per monomial and
+        """Bidegrees of the homogeneous constituents, one per key and
         {-1}-power (a single {-1}^k factor contributes (k, k))."""
         out = set()
-        for mono, c in self.terms:
-            base = monomial_bidegree(mono)
+        for key, c in self.terms:
+            base = self.pres.key_bidegree(key)
             for k, _ in c.terms:
                 out.add(base + (k, k))
         return out
@@ -216,11 +274,11 @@ class Element:
     def homogeneous_part(self, bd) -> "Element":
         bd = Bidegree(*bd)
         picked = []
-        for mono, c in self.terms:
-            base = monomial_bidegree(mono)
+        for key, c in self.terms:
+            base = self.pres.key_bidegree(key)
             keep = tuple((k, ck) for k, ck in c.terms if base + (k, k) == bd)
             if keep:
-                picked.append((mono, MCoefficient(self.pres.ring, self.pres.profile, keep)))
+                picked.append((key, MCoefficient(self.pres.ring, self.pres.profile, keep)))
         return Element(self.pres, tuple(picked))
 
 
@@ -295,7 +353,7 @@ def all_monomials(pres: StiefelPresentation) -> list[Monomial]:
     return out
 
 
-def has_torsion_lines(pres: StiefelPresentation) -> bool:
+def has_torsion_lines(pres: Presentation) -> bool:
     """Whether lines with k >= 1 exist: R/2R is nonzero and -1 is not a
     square."""
     return not pres.profile.minus_one_is_square and pres.ring.reduce_mod_two(1) != 0
@@ -347,9 +405,9 @@ def _append_subsets(out: list, k: int, prefix: Monomial, lo: int, hi: int,
         _append_subsets(out, k, prefix + (x,), x + 1, hi, r - 1, s - x)
 
 
-def basis_element(pres: StiefelPresentation, mono: Monomial, k: int) -> Element:
-    """The basis-line generator {-1}^k * mono with unit coefficient."""
-    return pres.monomial(mono, MCoefficient(pres.ring, pres.profile, ((k, 1),)))
+def basis_element(pres: Presentation, key, k: int) -> Element:
+    """The basis-line generator {-1}^k * key with unit coefficient."""
+    return pres.element(key, MCoefficient(pres.ring, pres.profile, ((k, 1),)))
 
 
 def poincare_polynomial(pres: StiefelPresentation) -> dict[Bidegree, int]:
@@ -373,7 +431,7 @@ def _random_scalar(rng: random.Random, ring: CoeffRing, k: int) -> int:
     return rng.randint(0, ring.modulus - 1)
 
 
-def random_element(pres: StiefelPresentation, bidegree=None, seed: int = 0) -> Element:
+def random_element(pres: Presentation, bidegree=None, seed: int = 0) -> Element:
     """Deterministic pseudo-random normal-form element.
 
     With a bidegree, the result is homogeneous and supported on the basis
@@ -381,19 +439,18 @@ def random_element(pres: StiefelPresentation, bidegree=None, seed: int = 0) -> E
     element.
     """
     rng = random.Random(seed)
-    terms: list[tuple[Monomial, MCoefficient]] = []
+    terms = []
     if bidegree is not None:
-        for mono, k in basis_in_bidegree(pres, bidegree):
+        for key, k in pres.lines(bidegree):
             c = MCoefficient(pres.ring, pres.profile, ((k, _random_scalar(rng, pres.ring, k)),))
             if c:
-                terms.append((mono, c))
+                terms.append((key, c))
     else:
-        gens = list(pres.generators)
         for _ in range(rng.randint(1, 3)):
-            mono = tuple(i for i in gens if rng.random() < 0.5)
+            key = pres.random_key(rng)
             ks = rng.sample((0, 1, 2), rng.randint(1, 2))
             c = MCoefficient(pres.ring, pres.profile,
                              tuple((k, _random_scalar(rng, pres.ring, k)) for k in sorted(ks)))
             if c:
-                terms.append((mono, c))
+                terms.append((key, c))
     return Element(pres, tuple(terms))

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+of element JSON that raises its parse error."""
 
 
 class StiefelError(Exception):
@@ -28,3 +29,10 @@ class SpanError(StiefelError, ValueError):
 
 class ElementParseError(StiefelError, ValueError):
     """Input text could not be parsed as an element."""
+
+
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer (booleans excluded), else ElementParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ElementParseError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-from . import algebra, targets
-from .algebra import Element, StiefelPresentation
+from .algebra import Element, Presentation, StiefelPresentation, basis_element
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
-from .targets import PGmElement, PGmPresentation
-
-TargetPresentation = Union[StiefelPresentation, PGmPresentation]
-TargetElement = Union[Element, PGmElement]
+from .targets import PGmPresentation
 
 
 class SymmetryKind(enum.Enum):
@@ -38,20 +34,20 @@ class RingMap:
     """
 
     source: StiefelPresentation
-    target: TargetPresentation
-    images: tuple[tuple[int, TargetElement], ...]
+    target: Presentation
+    images: tuple[tuple[int, Element], ...]
     label: str
     generator_level_only: bool = False
 
-    def image(self, i: int) -> TargetElement:
+    def image(self, i: int) -> Element:
         for j, img in self.images:
             if j == i:
                 return img
         raise InvalidGenerator(f"rho_{i} is not a generator of the source of '{self.label}'")
 
 
-def ring_map(source: StiefelPresentation, target: TargetPresentation,
-             images: Mapping[int, TargetElement], label: str) -> RingMap:
+def ring_map(source: StiefelPresentation, target: Presentation,
+             images: Mapping[int, Element], label: str) -> RingMap:
     """Build a map from generator images.
 
     Checks the shared coefficient context and the homogeneity of each
@@ -61,7 +57,7 @@ def ring_map(source: StiefelPresentation, target: TargetPresentation,
     """
     if source.ring != target.ring or source.profile != target.profile:
         raise ContextMismatch("source and target must share the coefficient context")
-    imgs: dict[int, TargetElement] = {}
+    imgs: dict[int, Element] = {}
     for i in source.generators:
         if i not in images:
             raise InvalidGenerator(f"missing image for rho_{i}")
@@ -77,7 +73,7 @@ def ring_map(source: StiefelPresentation, target: TargetPresentation,
                    generator_level_only=not total)
 
 
-def _respects_square(source: StiefelPresentation, imgs: Mapping[int, TargetElement],
+def _respects_square(source: StiefelPresentation, imgs: Mapping[int, Element],
                      i: int) -> bool:
     lhs = imgs[i] * imgs[i]
     square_image = imgs.get(2 * i - 1) if 2 * i - 1 <= source.n else None
@@ -89,7 +85,7 @@ def _respects_square(source: StiefelPresentation, imgs: Mapping[int, TargetEleme
     return lhs == rhs
 
 
-def apply_map(f: RingMap, x: Element) -> TargetElement:
+def apply_map(f: RingMap, x: Element) -> Element:
     """Extend f additively and multiplicatively to x; {-1}^k maps to {-1}^k."""
     if x.pres != f.source:
         raise ContextMismatch(f"element is not in the source ring of '{f.label}'")
@@ -181,13 +177,7 @@ def comparison_map(n: int,
     return ring_map(source, target, images, "cmp")
 
 
-def _target_basis(target: TargetPresentation, bd):
-    if isinstance(target, StiefelPresentation):
-        return algebra.basis_in_bidegree(target, bd)
-    return targets.basis_in_bidegree(target, bd)
-
-
-def _line_coords(y: TargetElement):
+def _line_coords(y: Element):
     for key, c in y.terms:
         for k, value in c.terms:
             yield (key, k), value
@@ -207,14 +197,14 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     """
     if f.generator_level_only:
         raise SpanError("kernel computation needs a map defined on the whole ring")
-    src_lines = algebra.basis_in_bidegree(f.source, bd)
+    src_lines = f.source.lines(bd)
     if not src_lines:
         return []
-    tgt_lines = _target_basis(f.target, bd)
+    tgt_lines = f.target.lines(bd)
     index = {line: t for t, line in enumerate(tgt_lines)}
     matrix = [[0] * len(src_lines) for _ in tgt_lines]
     for col, (mono, k) in enumerate(src_lines):
-        y = apply_map(f, algebra.basis_element(f.source, mono, k))
+        y = apply_map(f, basis_element(f.source, mono, k))
         for line, value in _line_coords(y):
             if line not in index:
                 raise AssertionError(f"image term {line} missed the graded piece {bd}")

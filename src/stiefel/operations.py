@@ -40,7 +40,6 @@ from .algebra import Element, StiefelPresentation, _mask, _monomial, _normal_wor
 from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, binom_mod,
                            is_prime)
 from .errors import InadmissibleOperation, InvalidGenerator
-from .targets import PGmElement
 
 
 class OperationKind(enum.Enum):
@@ -147,23 +146,24 @@ def power_on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Ele
     return pres.gen(target) * c if c else pres.zero()
 
 
-def apply_operation(op: Operation, x):
+def apply_operation(op: Operation, x: Element) -> Element:
     """Apply an operation to a Stiefel or Tate-target element.
 
     Additive in x; acts part by part on inhomogeneous input.  The bidegree
     shift of every result is checked against the operation's bidegree."""
-    if isinstance(x, Element):
-        return _apply_stiefel(op, x)
-    if isinstance(x, PGmElement):
-        return _apply_tate(op, x)
-    raise TypeError(f"cannot apply operations to {type(x).__name__}")
-
-
-def _apply_stiefel(op: Operation, x: Element) -> Element:
     pres = x.pres
     _require_context(pres.ring, pres.profile, op.prime)
     if op.kind in (OperationKind.ODD_SQUARE, OperationKind.BOCKSTEIN):
         return pres.zero()
+    apply = _apply_stiefel if isinstance(pres, StiefelPresentation) else _apply_tate
+    out = apply(op, x)
+    _check_shift(op, x, out)
+    return out
+
+
+def _apply_stiefel(op: Operation, x: Element) -> Element:
+    """An even operation on an element of H(W(n, m)) by the Cartan sum."""
+    pres = x.pres
     n, p, index = pres.n, op.prime, op.index
     # R/2R carries the positive {-1}-powers; it is Z/2 for p = 2, else 0
     twisted_modulus = 2 if p == 2 and not pres.profile.minus_one_is_square else 1
@@ -185,11 +185,9 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
                     k = k1 + k2
                     dst[k] = dst.get(k, 0) + v1 * v2
     ring, profile = pres.ring, pres.profile
-    out = Element(pres, tuple(
+    return Element(pres, tuple(
         (_monomial(mask), MCoefficient(ring, profile, tuple(powers.items())))
         for mask, powers in acc.items()))
-    _check_shift(op, x, out)
-    return out
 
 
 def _generator_table(n: int, p: int, index: int, support: int) -> dict[int, list]:
@@ -256,11 +254,9 @@ def _cartan(cache: dict, table: dict[int, list], n: int, p: int, twisted_modulus
     return value
 
 
-def _apply_tate(op: Operation, x: PGmElement) -> PGmElement:
+def _apply_tate(op: Operation, x: Element) -> Element:
+    """An even operation on a Tate-target element: binom(e, k) eta^{e+step}."""
     pres = x.pres
-    _require_context(pres.ring, pres.profile, op.prime)
-    if op.kind in (OperationKind.ODD_SQUARE, OperationKind.BOCKSTEIN):
-        return pres.zero()
     k = op.index
     terms = []
     for (s, e), c in x.terms:
@@ -271,9 +267,7 @@ def _apply_tate(op: Operation, x: PGmElement) -> PGmElement:
         if e + step >= pres.n:
             continue
         terms.append(((s, e + step), c * coeff))
-    out = PGmElement(pres, tuple(terms))
-    _check_shift(op, x, out)
-    return out
+    return Element(pres, tuple(terms))
 
 
 def _check_shift(op: Operation, x, out) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .algebra import Element, StiefelPresentation, poincare_polynomial
 from .coefficients import Bidegree, MCoefficient
-from .targets import PGmElement
+from .targets import PGmPresentation
 
 
 def _power(base: str, k: int, latex: bool) -> str:
@@ -63,14 +63,11 @@ def _pgm_mono(key, latex: bool) -> str:
     return "".join(parts) if latex else " ".join(parts)
 
 
-def element_text(x: Element | PGmElement, latex: bool = False) -> str:
+def element_text(x: Element, latex: bool = False) -> str:
     if not x.terms:
         return "0"
-    pieces = []
-    for key, c in x.terms:
-        mono = _pgm_mono(key, latex) if isinstance(x, PGmElement) else _stiefel_mono(key, latex)
-        pieces.append(_term_text(mono, c.terms, latex))
-    return " + ".join(pieces)
+    key_text = _pgm_mono if isinstance(x.pres, PGmPresentation) else _stiefel_mono
+    return " + ".join(_term_text(key_text(key, latex), c.terms, latex) for key, c in x.terms)
 
 
 def presentation_text(pres: StiefelPresentation) -> str:

@@ -5,8 +5,9 @@ Stiefel element:
      "terms": [{"gens": [int, ...], "mcoeff": [{"k": int, "c": int}, ...]}, ...]}
 
 Tate-target element: the same with "gens" replaced by "s" and "e" keys and
-without "m".  Rendering is canonical (normal-form term order), so parse
-and render are mutually inverse, bit for bit.
+without "m".  The presentation names these fields.  Rendering is canonical
+(normal-form term order), so parse and render are mutually inverse, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 import json
 import re
 
-from .algebra import Element, StiefelPresentation
+from .algebra import Element, Presentation, StiefelPresentation
 from .coefficients import CoeffRing, FieldProfile, MCoefficient
-from .errors import ElementParseError
-from .targets import PGmElement, PGmPresentation
+from .errors import ElementParseError, json_int
 
 
 def parse_coeff(name: str) -> CoeffRing:
@@ -32,12 +32,6 @@ def parse_coeff(name: str) -> CoeffRing:
         raise ElementParseError(str(exc)) from exc
 
 
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ElementParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _mcoeff_to_list(c: MCoefficient) -> list[dict]:
     return [{"k": k, "c": v} for k, v in c.terms]
 
@@ -49,7 +43,7 @@ def _mcoeff_from_list(data, ring: CoeffRing, profile: FieldProfile) -> MCoeffici
     for entry in data:
         if not isinstance(entry, dict) or set(entry) != {"k", "c"}:
             raise ElementParseError(f"malformed mcoeff entry {entry!r}")
-        terms.append((_require_int(entry["k"], "k"), _require_int(entry["c"], "c")))
+        terms.append((json_int(entry["k"], "k"), json_int(entry["c"], "c")))
     try:
         return MCoefficient(ring, profile, tuple(terms))
     except ValueError as exc:
@@ -57,20 +51,22 @@ def _mcoeff_from_list(data, ring: CoeffRing, profile: FieldProfile) -> MCoeffici
 
 
 def element_to_dict(x: Element) -> dict:
+    pres = x.pres
     return {
-        "n": x.pres.n,
-        "m": x.pres.m,
-        "coeff": x.pres.ring.name,
-        "minus_one_is_square": x.pres.profile.minus_one_is_square,
-        "terms": [{"gens": list(mono), "mcoeff": _mcoeff_to_list(c)}
-                  for mono, c in x.terms],
+        **{name: getattr(pres, name) for name in pres.json_fields},
+        "coeff": pres.ring.name,
+        "minus_one_is_square": pres.profile.minus_one_is_square,
+        "terms": [{**pres.key_to_json(key), "mcoeff": _mcoeff_to_list(c)}
+                  for key, c in x.terms],
     }
 
 
-def element_from_dict(data) -> Element:
+def element_from_dict(data, kind: type[Presentation] = StiefelPresentation) -> Element:
+    """Parse an element of the ring kind (StiefelPresentation or
+    PGmPresentation) from its JSON object."""
     if not isinstance(data, dict):
         raise ElementParseError("element JSON must be an object")
-    expected = {"n", "m", "coeff", "minus_one_is_square", "terms"}
+    expected = {*kind.json_fields, "coeff", "minus_one_is_square", "terms"}
     if set(data) != expected:
         raise ElementParseError(f"element JSON needs exactly the keys {sorted(expected)}")
     if not isinstance(data["coeff"], str):
@@ -80,83 +76,31 @@ def element_from_dict(data) -> Element:
     ring = parse_coeff(data["coeff"])
     profile = FieldProfile(minus_one_is_square=data["minus_one_is_square"])
     try:
-        pres = StiefelPresentation(_require_int(data["n"], "n"),
-                                   _require_int(data["m"], "m"), ring, profile)
+        pres = kind(*[json_int(data[name], name) for name in kind.json_fields], ring, profile)
     except ValueError as exc:
         raise ElementParseError(str(exc)) from exc
     if not isinstance(data["terms"], list):
         raise ElementParseError("terms must be a list")
+    term_fields = {*kind.key_fields, "mcoeff"}
     terms = []
     for entry in data["terms"]:
-        if not isinstance(entry, dict) or set(entry) != {"gens", "mcoeff"}:
+        if not isinstance(entry, dict) or set(entry) != term_fields:
             raise ElementParseError(f"malformed term {entry!r}")
-        if not isinstance(entry["gens"], list):
-            raise ElementParseError("gens must be a list")
-        mono = tuple(_require_int(g, "generator index") for g in entry["gens"])
-        terms.append((mono, _mcoeff_from_list(entry["mcoeff"], ring, profile)))
+        key = pres.key_from_json(entry)
+        terms.append((key, _mcoeff_from_list(entry["mcoeff"], ring, profile)))
     try:
         return Element(pres, tuple(terms))
     except ValueError as exc:
         raise ElementParseError(str(exc)) from exc
 
 
-def pgm_element_to_dict(x: PGmElement) -> dict:
-    return {
-        "n": x.pres.n,
-        "coeff": x.pres.ring.name,
-        "minus_one_is_square": x.pres.profile.minus_one_is_square,
-        "terms": [{"s": s, "e": e, "mcoeff": _mcoeff_to_list(c)}
-                  for (s, e), c in x.terms],
-    }
+def element_to_json(x: Element) -> str:
+    return json.dumps(element_to_dict(x))
 
 
-def pgm_element_from_dict(data) -> PGmElement:
-    if not isinstance(data, dict):
-        raise ElementParseError("element JSON must be an object")
-    expected = {"n", "coeff", "minus_one_is_square", "terms"}
-    if set(data) != expected:
-        raise ElementParseError(f"element JSON needs exactly the keys {sorted(expected)}")
-    if not isinstance(data["coeff"], str):
-        raise ElementParseError("coeff must be a string")
-    if not isinstance(data["minus_one_is_square"], bool):
-        raise ElementParseError("minus_one_is_square must be a boolean")
-    ring = parse_coeff(data["coeff"])
-    profile = FieldProfile(minus_one_is_square=data["minus_one_is_square"])
-    try:
-        pres = PGmPresentation(_require_int(data["n"], "n"), ring, profile)
-    except ValueError as exc:
-        raise ElementParseError(str(exc)) from exc
-    if not isinstance(data["terms"], list):
-        raise ElementParseError("terms must be a list")
-    terms = []
-    for entry in data["terms"]:
-        if not isinstance(entry, dict) or set(entry) != {"s", "e", "mcoeff"}:
-            raise ElementParseError(f"malformed term {entry!r}")
-        key = (_require_int(entry["s"], "s"), _require_int(entry["e"], "e"))
-        terms.append((key, _mcoeff_from_list(entry["mcoeff"], ring, profile)))
-    try:
-        return PGmElement(pres, tuple(terms))
-    except ValueError as exc:
-        raise ElementParseError(str(exc)) from exc
-
-
-def element_to_json(x) -> str:
-    if isinstance(x, Element):
-        return json.dumps(element_to_dict(x))
-    return json.dumps(pgm_element_to_dict(x))
-
-
-def element_from_json(text: str) -> Element:
+def element_from_json(text: str, kind: type[Presentation] = StiefelPresentation) -> Element:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ElementParseError(f"invalid JSON: {exc}") from exc
-    return element_from_dict(data)
-
-
-def pgm_element_from_json(text: str) -> PGmElement:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ElementParseError(f"invalid JSON: {exc}") from exc
-    return pgm_element_from_dict(data)
+    return element_from_dict(data, kind)

@@ -10,6 +10,9 @@ truncated polynomial ring H(P^{n-1}) = M[eta]/(eta^n).  The reduced
 cohomology of the Tate suspension of P^{n-1} with a disjoint basepoint is
 the ideal of terms divisible by sigma, where the suspension product rule
 (sigma x)(sigma y) = {-1} sigma (x y) follows from sigma^2 = {-1} sigma.
+
+Its elements are algebra.Element values over a PGmPresentation; products
+encode the key sigma^s eta^e as the int s | e << 1.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, binom_mod
-from .errors import ContextMismatch, InadmissibleOperation, InvalidPresentation
+from .algebra import Element, Presentation, has_torsion_lines
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from .errors import InadmissibleOperation, InvalidPresentation, json_int
+from .operations import apply_operation, square
 
 # a monomial sigma^s eta^e is keyed by (s, e) with s in {0, 1}, 0 <= e < n
 PGmKey = tuple[int, int]
+PGmElement = Element  # an Element whose presentation is a PGmPresentation
 
 
 def pgm_key_bidegree(key: PGmKey) -> Bidegree:
@@ -29,172 +35,117 @@ def pgm_key_bidegree(key: PGmKey) -> Bidegree:
     return Bidegree(s + 2 * e, s + e)
 
 
+def _encode(key: PGmKey) -> int:
+    s, e = key
+    return s | e << 1
+
+
+def _decode(code: int) -> PGmKey:
+    return code & 1, code >> 1
+
+
+def _key_product(n: int, a: int, b: int) -> tuple[int, int, int] | None:
+    """Product of the encoded keys a and b as (code, sign, twist), or None
+    once the eta exponents reach the truncation degree n.  sigma^2 =
+    {-1} sigma gives twist 1; eta is even, so no signs arise."""
+    e = (a >> 1) + (b >> 1)
+    if e >= n:
+        return None
+    if a & b & 1:
+        return 1 | e << 1, 1, 1
+    return (a | b) & 1 | e << 1, 1, 0
+
+
 @dataclass(frozen=True)
-class PGmPresentation:
+class PGmPresentation(Presentation):
     """Presentation data for H(G_m x P^{n-1}; R); a value object."""
 
     n: int
     ring: CoeffRing = CoeffRing()
     profile: FieldProfile = FieldProfile()
 
+    unit_key = (0, 0)
+    json_fields = ("n",)
+    key_fields = ("s", "e")
+    key_bidegree = staticmethod(pgm_key_bidegree)
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidPresentation(f"n must be at least 1, got n={self.n}")
 
-    def zero(self) -> "PGmElement":
-        return PGmElement(self, ())
+    def term(self, s: int, e: int, coeff: int | MCoefficient = 1) -> Element:
+        return self.element((s, e), coeff)
 
-    def scalar(self, c: MCoefficient) -> "PGmElement":
-        if c.ring != self.ring or c.profile != self.profile:
-            raise ContextMismatch("scalar coefficient from a different context")
-        return PGmElement(self, (((0, 0), c),))
-
-    def unit(self, c: int = 1) -> "PGmElement":
-        return self.scalar(MCoefficient.integer(self.ring, self.profile, c))
-
-    def minus_one(self, power: int = 1) -> "PGmElement":
-        return self.scalar(MCoefficient.minus_one(self.ring, self.profile, power))
-
-    def term(self, s: int, e: int, coeff: int | MCoefficient = 1) -> "PGmElement":
-        if not isinstance(coeff, MCoefficient):
-            coeff = MCoefficient.integer(self.ring, self.profile, coeff)
-        return PGmElement(self, (((s, e), coeff),))
-
-    def sigma(self) -> "PGmElement":
+    def sigma(self) -> Element:
         return self.term(1, 0)
 
-    def eta(self, e: int = 1) -> "PGmElement":
+    def eta(self, e: int = 1) -> Element:
         """eta^e, which is zero once e reaches the truncation degree n."""
         if e >= self.n:
             return self.zero()
         return self.term(0, e)
 
+    def check_key(self, key) -> PGmKey:
+        s, e = key
+        if s not in (0, 1):
+            raise ValueError(f"sigma exponent must be 0 or 1, got {s}")
+        if not 0 <= e < self.n:
+            raise ValueError(f"eta exponent out of range: {e} (n={self.n})")
+        return s, e
 
-@dataclass(frozen=True)
-class PGmElement:
-    """An element of H(G_m x P^{n-1}; R) in normal form: nonzero
-    MCoefficients on monomials sigma^s eta^e with s <= 1 and e < n."""
+    @staticmethod
+    def sort_key(key: PGmKey) -> PGmKey:
+        return key
 
-    pres: PGmPresentation
-    terms: tuple[tuple[PGmKey, MCoefficient], ...]
+    def codec(self):
+        return _encode, _decode, _key_product
 
-    def __post_init__(self) -> None:
-        acc: dict[PGmKey, MCoefficient] = {}
-        for (s, e), c in self.terms:
-            if s not in (0, 1):
-                raise ValueError(f"sigma exponent must be 0 or 1, got {s}")
-            if not 0 <= e < self.pres.n:
-                raise ValueError(f"eta exponent out of range: {e} (n={self.pres.n})")
-            if c.ring != self.pres.ring or c.profile != self.pres.profile:
-                raise ContextMismatch("coefficient from a different context")
-            key = (s, e)
-            acc[key] = acc[key] + c if key in acc else c
-        normal = tuple(sorted(((k, c) for k, c in acc.items() if c)))
-        object.__setattr__(self, "terms", normal)
+    def lines(self, bd) -> list[tuple[PGmKey, int]]:
+        return basis_in_bidegree(self, bd)
 
-    def _require_same_ring(self, other: "PGmElement") -> None:
-        if self.pres != other.pres:
-            raise ContextMismatch("elements live in different Tate target rings")
+    def random_key(self, rng: random.Random) -> PGmKey:
+        return rng.randint(0, 1), rng.randrange(self.n)
 
-    def __add__(self, other: "PGmElement") -> "PGmElement":
-        self._require_same_ring(other)
-        return PGmElement(self.pres, self.terms + other.terms)
+    @staticmethod
+    def key_to_json(key: PGmKey) -> dict:
+        return {"s": key[0], "e": key[1]}
 
-    def __neg__(self) -> "PGmElement":
-        return PGmElement(self.pres, tuple((k, -c) for k, c in self.terms))
-
-    def __sub__(self, other: "PGmElement") -> "PGmElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, MCoefficient)):
-            return self.scale(other)
-        if not isinstance(other, PGmElement):
-            return NotImplemented
-        self._require_same_ring(other)
-        acc: dict[PGmKey, MCoefficient] = {}
-        for (s1, e1), c1 in self.terms:
-            for (s2, e2), c2 in other.terms:
-                e = e1 + e2
-                if e >= self.pres.n:
-                    continue
-                c = c1 * c2
-                s = s1 + s2
-                if s == 2:
-                    # sigma^2 = {-1} sigma; eta is even, so no signs arise
-                    s, c = 1, c.shift(1)
-                key = (s, e)
-                acc[key] = acc[key] + c if key in acc else c
-        return PGmElement(self.pres, tuple(acc.items()))
-
-    def __rmul__(self, other) -> "PGmElement":
-        if isinstance(other, (int, MCoefficient)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: int | MCoefficient) -> "PGmElement":
-        if isinstance(c, int):
-            c = MCoefficient.integer(self.pres.ring, self.pres.profile, c)
-        return PGmElement(self.pres, tuple((k, cc * c) for k, cc in self.terms))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coefficient(self, key: PGmKey) -> MCoefficient:
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return MCoefficient.zero(self.pres.ring, self.pres.profile)
-
-    def reduced_part(self) -> "PGmElement":
-        """The component in the image of the Tate suspension: sigma-divisible terms."""
-        return PGmElement(self.pres, tuple((k, c) for k, c in self.terms if k[0] == 1))
-
-    def is_reduced(self) -> bool:
-        return all(s == 1 for (s, _), _ in self.terms)
-
-    def bidegrees(self) -> set[Bidegree]:
-        out = set()
-        for key, c in self.terms:
-            base = pgm_key_bidegree(key)
-            for k, _ in c.terms:
-                out.add(base + (k, k))
-        return out
-
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
+    @staticmethod
+    def key_from_json(entry: dict) -> PGmKey:
+        return json_int(entry["s"], "s"), json_int(entry["e"], "e")
 
 
-def _require_mod2_ring(pres: PGmPresentation) -> None:
+def reduced_part(x: Element) -> Element:
+    """The component in the image of the Tate suspension: sigma-divisible terms."""
+    return Element(x.pres, tuple((k, c) for k, c in x.terms if k[0] == 1))
+
+
+def is_reduced(x: Element) -> bool:
+    return all(s == 1 for (s, _), _ in x.terms)
+
+
+def sq_projective(i: int, j: int, pres: PGmPresentation) -> Element:
+    """Sq^{2i} on the hyperplane power eta^j: binom(j, i) eta^{j+i} mod 2,
+    truncated at eta^n.  The odd squares vanish on these classes."""
+    return apply_operation(square(2 * i), pres.eta(j))
+
+
+def total_square_oracle(j: int, pres: PGmPresentation) -> Element:
+    """(eta + eta^2)^j by honest repeated multiplication of truncated
+    polynomials over Z/2, coefficient lists indexed by the eta exponent;
+    the independent cross-check for sq_projective, sharing no code with
+    the element product."""
     if pres.ring.modulus != 2:
         raise InadmissibleOperation(
             f"Steenrod squares need Z/2 coefficients, ring is {pres.ring.name}")
-
-
-def sq_projective(i: int, j: int, pres: PGmPresentation) -> PGmElement:
-    """Sq^{2i} on the hyperplane power eta^j: binom(j, i) eta^{j+i} mod 2,
-    truncated at eta^n.  The odd squares vanish on these classes."""
-    _require_mod2_ring(pres)
-    if pres.profile.characteristic == 2:
-        raise InadmissibleOperation("Steenrod squares are unavailable in characteristic 2")
-    if i < 0 or j < 0:
-        raise ValueError("operation and power indices must be nonnegative")
-    if j + i >= pres.n or binom_mod(j, i, 2) == 0:
-        return pres.zero()
-    return pres.term(0, j + i)
-
-
-def total_square_oracle(j: int, pres: PGmPresentation) -> PGmElement:
-    """(eta + eta^2)^j by honest repeated multiplication in the truncated
-    ring; the independent cross-check for sq_projective."""
-    _require_mod2_ring(pres)
     if j < 0:
         raise ValueError("power must be nonnegative")
-    out = pres.unit()
-    base = pres.eta(1) + pres.eta(2)
+    power = [1] + [0] * (pres.n - 1)
     for _ in range(j):
-        out = out * base
-    return out
+        power = [((power[e - 1] if e >= 1 else 0) + (power[e - 2] if e >= 2 else 0)) % 2
+                 for e in range(pres.n)]
+    return Element(pres, tuple(((0, e), MCoefficient.one(pres.ring, pres.profile))
+                               for e, c in enumerate(power) if c))
 
 
 def basis_in_bidegree(pres: PGmPresentation, bd) -> list[tuple[PGmKey, int]]:
@@ -203,8 +154,7 @@ def basis_in_bidegree(pres: PGmPresentation, bd) -> list[tuple[PGmKey, int]]:
     bd = Bidegree(*bd)
     if bd.q < 0:
         return []
-    torsion_lines = (not pres.profile.minus_one_is_square
-                     and pres.ring.reduce_mod_two(1) != 0)
+    torsion_lines = has_torsion_lines(pres)
     out = []
     for s in (0, 1):
         for e in range(pres.n):
@@ -217,30 +167,3 @@ def basis_in_bidegree(pres: PGmPresentation, bd) -> list[tuple[PGmKey, int]]:
             out.append(((s, e), k))
     out.sort(key=lambda line: (line[1], line[0]))
     return out
-
-
-def basis_element(pres: PGmPresentation, key: PGmKey, k: int) -> PGmElement:
-    """The basis-line generator {-1}^k sigma^s eta^e with unit coefficient."""
-    return pres.term(key[0], key[1], MCoefficient(pres.ring, pres.profile, ((k, 1),)))
-
-
-def random_element(pres: PGmPresentation, bidegree=None, seed: int = 0) -> PGmElement:
-    """Deterministic pseudo-random element, homogeneous when a bidegree is given."""
-    from .algebra import _random_scalar
-
-    rng = random.Random(seed)
-    terms: list[tuple[PGmKey, MCoefficient]] = []
-    if bidegree is not None:
-        for key, k in basis_in_bidegree(pres, bidegree):
-            c = MCoefficient(pres.ring, pres.profile, ((k, _random_scalar(rng, pres.ring, k)),))
-            if c:
-                terms.append((key, c))
-    else:
-        for _ in range(rng.randint(1, 3)):
-            key = (rng.randint(0, 1), rng.randrange(pres.n))
-            ks = rng.sample((0, 1, 2), rng.randint(1, 2))
-            c = MCoefficient(pres.ring, pres.profile,
-                             tuple((k, _random_scalar(rng, pres.ring, k)) for k in sorted(ks)))
-            if c:
-                terms.append((key, c))
-    return PGmElement(pres, tuple(terms))

@@ -258,10 +258,11 @@ class TestMap:
         assert result.exit_code == 2
 
     def test_cmp_json_output(self):
-        from stiefel.serialize import pgm_element_from_json
+        from stiefel.serialize import element_from_json
+        from stiefel.targets import PGmPresentation
         result = run("map", "cmp", "r3", "-n", "3", "--format", "json")
         assert result.exit_code == 0
-        element = pgm_element_from_json(result.output)
+        element = element_from_json(result.output, PGmPresentation)
         assert element.terms[0][0] == (1, 2)
         data = json.loads(result.output)
         assert set(data) == {"n", "coeff", "minus_one_is_square", "terms"}

@@ -1,0 +1,18 @@
+"""The README's library example runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_prints_its_comments():
+    text = README.read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, str(README), "exec"), {})
+    claimed = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert printed.getvalue().splitlines() == claimed == ["r3", "s e^2"]

@@ -6,9 +6,7 @@ from stiefel.algebra import StiefelPresentation, random_element
 from stiefel.coefficients import CoeffRing, FieldProfile
 from stiefel.errors import ElementParseError
 from stiefel.serialize import (element_from_dict, element_from_json, element_to_dict,
-                               element_to_json, parse_coeff, pgm_element_from_json,
-                               pgm_element_to_dict)
-from stiefel import targets
+                               element_to_json, parse_coeff)
 from stiefel.targets import PGmPresentation
 
 
@@ -40,7 +38,7 @@ class TestSchema:
     def test_pgm_shape(self):
         pres = PGmPresentation(3, CoeffRing(2))
         x = pres.sigma() * pres.eta(2)
-        data = pgm_element_to_dict(x)
+        data = element_to_dict(x)
         assert set(data) == {"n", "coeff", "minus_one_is_square", "terms"}
         assert data["terms"] == [{"s": 1, "e": 2, "mcoeff": [{"k": 0, "c": 1}]}]
 
@@ -64,9 +62,9 @@ class TestSchema:
     def test_pgm_roundtrips(self):
         for seed in range(100):
             pres = PGmPresentation(1 + seed % 6, CoeffRing(2))
-            x = targets.random_element(pres, None, seed=seed)
+            x = random_element(pres, None, seed=seed)
             text = element_to_json(x)
-            assert pgm_element_from_json(text) == x
+            assert element_from_json(text, PGmPresentation) == x
 
 
 class TestRejection:

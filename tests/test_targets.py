@@ -1,14 +1,17 @@
 import pytest
 
-from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile
+from stiefel.algebra import StiefelPresentation, random_element
+from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import ContextMismatch, InadmissibleOperation, InvalidPresentation
-from stiefel.targets import (PGmPresentation, basis_in_bidegree,
-                             pgm_key_bidegree, random_element, sq_projective,
+from stiefel.targets import (PGmElement, PGmPresentation, basis_in_bidegree, is_reduced,
+                             pgm_key_bidegree, reduced_part, sq_projective,
                              total_square_oracle)
 
 Z = CoeffRing()
 Z2 = CoeffRing(2)
 PLAIN = FieldProfile()
+RINGS = (Z, Z2, CoeffRing(3), CoeffRing(4))
+PROFILES = (PLAIN, FieldProfile(minus_one_is_square=True))
 
 
 def pgm(n, ring=Z, profile=PLAIN):
@@ -53,12 +56,61 @@ class TestMultiply:
         with pytest.raises(ContextMismatch):
             pgm(3).sigma() * pgm(4).sigma()
 
+    def test_stiefel_times_tate_is_a_context_mismatch(self):
+        gl3 = StiefelPresentation(3, 3)
+        with pytest.raises(ContextMismatch):
+            gl3.gen(1) * pgm(3).sigma()
+        with pytest.raises(ContextMismatch):
+            pgm(3).sigma() + gl3.gen(1)
+
     def test_reduced_ideal(self):
         pres = pgm(5)
         x = random_element(pres, None, seed=3)
-        y = random_element(pres, None, seed=4).reduced_part()
-        assert (x * y).is_reduced()
-        assert (y * x).is_reduced()
+        y = reduced_part(random_element(pres, None, seed=4))
+        assert is_reduced(x * y)
+        assert is_reduced(y * x)
+
+
+def reference_tate_product(x, y):
+    """The Tate product term by term on MCoefficients: eta exponents add,
+    eta^n = 0, and sigma^2 = {-1} sigma.  The reference for the integer
+    product kernel; it shares no code with Element.__mul__."""
+    acc = {}
+    for (s1, e1), c1 in x.terms:
+        for (s2, e2), c2 in y.terms:
+            e = e1 + e2
+            if e >= x.pres.n:
+                continue
+            c = c1 * c2
+            s = s1 + s2
+            if s == 2:
+                # sigma^2 = {-1} sigma; eta is even, so no signs arise
+                s, c = 1, c.shift(1)
+            key = (s, e)
+            acc[key] = acc[key] + c if key in acc else c
+    return PGmElement(x.pres, tuple(acc.items()))
+
+
+class TestProductAgainstReference:
+    def test_every_twisted_key_pair(self):
+        for ring in RINGS:
+            for profile in PROFILES:
+                for n in range(1, 9):
+                    pres = pgm(n, ring, profile)
+                    lines = [pres.term(s, e, MCoefficient.minus_one(ring, profile, k))
+                             for s in (0, 1) for e in range(n) for k in range(3)]
+                    for x in lines:
+                        for y in lines:
+                            assert x * y == reference_tate_product(x, y), (x, y)
+
+    def test_seeded_sums(self):
+        for seed in range(400):
+            pres = pgm(1 + seed % 8, RINGS[seed % 4], PROFILES[seed % 7 == 0])
+            x = sum((random_element(pres, None, seed=seed * 3 + t) for t in range(3)),
+                    pres.zero())
+            y = random_element(pres, None, seed=seed + 10_000) - pres.unit(seed % 5)
+            assert x * y == reference_tate_product(x, y)
+            assert y * x == reference_tate_product(y, x)
 
 
 class TestSqProjective:
