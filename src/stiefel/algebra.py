@@ -132,9 +132,10 @@ class StiefelPresentation(Presentation):
         mono = tuple(mono)
         if list(mono) != sorted(set(mono)):
             raise ValueError(f"monomial indices must be strictly increasing, got {mono}")
-        for i in mono:
-            if not self.is_generator(i):
-                raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
+        # increasing, so the ends bound every index
+        if mono and not (self.is_generator(mono[0]) and self.is_generator(mono[-1])):
+            i = next(i for i in mono if not self.is_generator(i))
+            raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
         return mono
 
     @staticmethod
@@ -184,10 +185,8 @@ class Element:
             if c.ring != pres.ring or c.profile != pres.profile:
                 raise ContextMismatch("coefficient from a different context")
             acc[key] = acc[key] + c if key in acc else c
-        order = pres.sort_key
-        normal = tuple(sorted(((k, c) for k, c in acc.items() if c),
-                              key=lambda t: order(t[0])))
-        object.__setattr__(self, "terms", normal)
+        keys = sorted((k for k, c in acc.items() if c), key=pres.sort_key)
+        object.__setattr__(self, "terms", tuple((k, acc[k]) for k in keys))
 
     def _require_same_ring(self, other: "Element") -> None:
         if self.pres != other.pres:
