@@ -47,12 +47,13 @@ class Presentation:
 
     A presentation is a frozen dataclass with fields n, ring and profile.
     It supplies check_key(key) (the canonical key, or ValueError),
-    sort_key(key) (the term order of the normal form), key_bidegree(key),
-    codec() (encode and decode between keys and ints, and product(n, a, b)
-    giving (code, sign, twist) or None for zero), lines(bd) (the basis
-    lines (key, k) of a graded piece), random_key(rng), the JSON fields
-    json_fields, key_fields, key_to_json(key) and key_from_json(entry), and
-    unit_key.  The elements built below are the same in every ring.
+    term_order(term) (the sort key of a (key, coefficient) term of the
+    normal form), key_bidegree(key), codec() (encode and decode between
+    keys and ints, and product(n, a, b) giving (code, sign, twist) or None
+    for zero), lines(bd) (the basis lines (key, k) of a graded piece),
+    random_key(rng), the JSON fields json_fields, key_fields,
+    key_to_json(key) and key_from_json(entry), and unit_key.  The elements
+    built below are the same in every ring.
     """
 
     def zero(self) -> "Element":
@@ -133,14 +134,14 @@ class StiefelPresentation(Presentation):
         if list(mono) != sorted(set(mono)):
             raise ValueError(f"monomial indices must be strictly increasing, got {mono}")
         # increasing, so the ends bound every index
-        if mono and not (self.is_generator(mono[0]) and self.is_generator(mono[-1])):
+        if mono and (mono[0] <= self.n - self.m or mono[-1] > self.n):
             i = next(i for i in mono if not self.is_generator(i))
             raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
         return mono
 
     @staticmethod
-    def sort_key(mono: Monomial) -> tuple:
-        return len(mono), mono
+    def term_order(term: tuple[Monomial, MCoefficient]) -> tuple:
+        return len(term[0]), term[0]
 
     def codec(self):
         return _mask, _monomial, _normal_word
@@ -185,8 +186,8 @@ class Element:
             if c.ring != pres.ring or c.profile != pres.profile:
                 raise ContextMismatch("coefficient from a different context")
             acc[key] = acc[key] + c if key in acc else c
-        keys = sorted((k for k, c in acc.items() if c), key=pres.sort_key)
-        object.__setattr__(self, "terms", tuple((k, acc[k]) for k in keys))
+        normal = tuple(sorted(((k, c) for k, c in acc.items() if c), key=pres.term_order))
+        object.__setattr__(self, "terms", normal)
 
     def _require_same_ring(self, other: "Element") -> None:
         if self.pres != other.pres:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import Element, Presentation, has_torsion_lines
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
@@ -93,9 +94,7 @@ class PGmPresentation(Presentation):
             raise ValueError(f"eta exponent out of range: {e} (n={self.n})")
         return s, e
 
-    @staticmethod
-    def sort_key(key: PGmKey) -> PGmKey:
-        return key
+    term_order = staticmethod(itemgetter(0))
 
     def codec(self):
         return _encode, _decode, _key_product
@@ -125,8 +124,9 @@ def is_reduced(x: Element) -> bool:
 
 
 def sq_projective(i: int, j: int, pres: PGmPresentation) -> Element:
-    """Sq^{2i} on the hyperplane power eta^j: binom(j, i) eta^{j+i} mod 2,
-    truncated at eta^n.  The odd squares vanish on these classes."""
+    """Sq^{2i} on the hyperplane power eta^j, by apply_operation:
+    binom(j, i) eta^{j+i} mod 2, truncated at eta^n.  The odd squares
+    vanish on these classes."""
     return apply_operation(square(2 * i), pres.eta(j))
 
 
