@@ -13,13 +13,13 @@ of elements is structural equality.
 Products encode each monomial as an int bitmask, bit i standing for rho_i.
 Two disjoint monomials multiply as in an exterior algebra, with the sign
 given by the parity of the crossing pairs; overlapping ones are contracted
-by the squaring rule (see _normal_word).  Coefficients of one product are
-summed as integers per monomial and {-1}-power and normalised once per
-output monomial.
+by the squaring rule (see _normal_word).
 
 Element is the element type of every computed ring: it reads the keys and
 their product from a Presentation, here StiefelPresentation and, for the
-Tate target, targets.PGmPresentation.
+Tate target, targets.PGmPresentation.  Products, ring maps and the
+Steenrod kernel's input fold multiply {code: {power of {-1}: int}} tables
+in table_product, and Presentation.from_table builds their results.
 """
 
 from __future__ import annotations
@@ -53,8 +53,25 @@ class Presentation:
     for zero), lines(bd) (the basis lines (key, k) of a graded piece),
     random_key(rng), the JSON fields json_fields, key_fields,
     key_to_json(key) and key_from_json(entry), and unit_key.  The elements
-    built below are the same in every ring.
+    and the integer tables (table, from_table) below are the same in every ring.
     """
+
+    def table(self, x: "Element") -> dict[int, dict[int, int]]:
+        """x as {code: {power of {-1}: int}}."""
+        encode = self.codec()[0]
+        return {encode(key): dict(c.terms) for key, c in x.terms}
+
+    def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
+        """The element of a computed table, one MCoefficient per code.  Codec
+        products of valid keys are valid and distinct, so nothing is checked."""
+        decode, ring, profile = self.codec()[1], self.ring, self.profile
+        terms = ((decode(code), MCoefficient(ring, profile, tuple(powers.items())))
+                 for code, powers in acc.items())
+        x = object.__new__(Element)
+        object.__setattr__(x, "pres", self)
+        object.__setattr__(x, "terms", tuple(sorted((t for t in terms if t[1]),
+                                                    key=self.term_order)))
+        return x
 
     def zero(self) -> "Element":
         return Element(self, ())
@@ -211,32 +228,8 @@ class Element:
             return NotImplemented
         self._require_same_ring(other)
         pres = self.pres
-        n = pres.n
-        encode, decode, product = pres.codec()
-        ys = [(encode(k2), c2.terms) for k2, c2 in other.terms]
-        # coefficients summed in Z[{-1}] per (key, {-1}-power), then reduced
-        # once per key: reduction is a ring homomorphism
-        acc: dict[int, dict[int, int]] = {}
-        for key, c1 in self.terms:
-            a, t1 = encode(key), c1.terms
-            for b, t2 in ys:
-                nf = product(n, a, b)
-                if nf is None:
-                    continue
-                code, sign, twist = nf
-                powers = acc.get(code)
-                if powers is None:
-                    powers = acc[code] = {}
-                for k1, v1 in t1:
-                    k1 += twist
-                    v1 *= sign
-                    for k2, v2 in t2:
-                        k = k1 + k2
-                        powers[k] = powers.get(k, 0) + v1 * v2
-        ring, profile = pres.ring, pres.profile
-        return Element(pres, tuple(
-            (decode(code), MCoefficient(ring, profile, tuple(powers.items())))
-            for code, powers in acc.items()))
+        return pres.from_table(table_product(pres.n, pres.codec()[2], pres.table(self),
+                                             pres.table(other), {}))
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, MCoefficient)):
@@ -280,6 +273,30 @@ class Element:
             if keep:
                 picked.append((key, MCoefficient(self.pres.ring, self.pres.profile, keep)))
         return Element(self.pres, tuple(picked))
+
+
+def table_product(n: int, product, xs: dict[int, dict[int, int]],
+                  ys: dict[int, dict[int, int]], acc: dict) -> dict:
+    """Add xs * ys into the table acc and return it, product being the
+    codec's key product.  Sums stay unreduced in Z[{-1}]: reduction is a
+    ring homomorphism, so from_table reduces once per key."""
+    ys = list(ys.items())
+    for a, t1 in xs.items():
+        for b, t2 in ys:
+            nf = product(n, a, b)
+            if nf is None:
+                continue
+            code, sign, twist = nf
+            powers = acc.get(code)
+            if powers is None:
+                powers = acc[code] = {}
+            for k1, v1 in t1.items():
+                k1 += twist
+                v1 *= sign
+                for k2, v2 in t2.items():
+                    k = k1 + k2
+                    powers[k] = powers.get(k, 0) + v1 * v2
+    return acc
 
 
 def _mask(mono: Monomial) -> int:
@@ -410,15 +427,16 @@ def basis_element(pres: Presentation, key, k: int) -> Element:
     return pres.element(key, MCoefficient(pres.ring, pres.profile, ((k, 1),)))
 
 
-def poincare_polynomial(pres: StiefelPresentation) -> dict[Bidegree, int]:
+def poincare_polynomial(pres: StiefelPresentation, max_weight=None) -> dict[Bidegree, int]:
     """Multiset of M-basis bidegrees with multiplicities: the expansion of
-    the product of (1 + T^(2i-1, i)) over the generators."""
+    the product of (1 + T^(2i-1, i)) over the generators, up to max_weight."""
     series = {Bidegree(0, 0): 1}
     for i in pres.generators:
         step = Bidegree(2 * i - 1, i)
         nxt = dict(series)
         for bd, mult in series.items():
-            nxt[bd + step] = nxt.get(bd + step, 0) + mult
+            if max_weight is None or bd.q + i <= max_weight:
+                nxt[bd + step] = nxt.get(bd + step, 0) + mult
         series = nxt
     return series
 

@@ -18,7 +18,7 @@ import click
 from . import serialize, suites
 from .algebra import (Element, StiefelPresentation, basis_in_bidegree, has_torsion_lines,
                       poincare_polynomial)
-from .coefficients import FieldProfile, MCoefficient
+from .coefficients import FieldProfile
 from .errors import (ContextMismatch, ElementParseError, InvalidPresentation,
                      StiefelError)
 from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
@@ -73,16 +73,13 @@ def parse_element(token: str, pres: StiefelPresentation) -> Element:
     token = token.strip()
     if token.startswith("{"):
         element = serialize.element_from_json(token)
-        if element.pres == pres:
-            return element
         # element JSON records no characteristic: compare what it carries,
         # then rebuild the element in the command's presentation
         if ((element.pres.n, element.pres.m, element.pres.ring,
              element.pres.profile.minus_one_is_square)
                 != (pres.n, pres.m, pres.ring, pres.profile.minus_one_is_square)):
             raise ContextMismatch("element JSON context differs from the command options")
-        return Element(pres, tuple((mono, MCoefficient(pres.ring, pres.profile, c.terms))
-                                   for mono, c in element.terms))
+        return pres.from_table(element.pres.table(element))
     if token == "0":
         return pres.zero()
     if token == "1":
@@ -193,10 +190,10 @@ def basis(degree, weight, n, m, coeff, minus_one, characteristic, fmt):
 
 def _piece_size(pres: StiefelPresentation, p: int, q: int) -> int:
     """Number of basis lines in bidegree (p, q), read off the Poincare
-    polynomial: monomials at (p, q), plus those at (p - k, q - k) for
-    k >= 1 when torsion lines exist."""
+    polynomial up to weight q: monomials at (p, q), plus those at
+    (p - k, q - k) for k >= 1 when torsion lines exist."""
     torsion = has_torsion_lines(pres)
-    return sum(count for bd, count in poincare_polynomial(pres).items()
+    return sum(count for bd, count in poincare_polynomial(pres, q).items()
                if p - bd.p == q - bd.q and (p == bd.p or torsion and p > bd.p))
 
 

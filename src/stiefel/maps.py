@@ -1,19 +1,22 @@
 """Ring homomorphisms between the computed rings.
 
 Maps are stored by generator images and extended additively and
-multiplicatively on demand; {-1}-powers map to themselves.  Construction
-verifies that the images respect the squaring relations; a map failing
-that check is kept, but downgraded to generator-level and usable only on
-the span of single generators.
+multiplicatively on demand, on integer tables (algebra.table_product);
+{-1}-powers map to themselves.  Construction verifies that the images
+respect the squaring relations; a map failing that check is kept, but
+downgraded to generator-level and usable only on the span of single
+generators.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import Element, Presentation, StiefelPresentation, basis_element
+from .algebra import (Element, Presentation, StiefelPresentation, basis_element,
+                      table_product)
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
@@ -86,19 +89,25 @@ def _respects_square(source: StiefelPresentation, imgs: Mapping[int, Element],
 
 
 def apply_map(f: RingMap, x: Element) -> Element:
-    """Extend f additively and multiplicatively to x; {-1}^k maps to {-1}^k."""
+    """Extend f additively and multiplicatively to x; {-1}^k maps to {-1}^k.
+    The terms are summed in one table, so one element is built per call."""
     if x.pres != f.source:
         raise ContextMismatch(f"element is not in the source ring of '{f.label}'")
-    out = f.target.zero()
+    target = f.target
+    encode, _, product = target.codec()
+    n, unit = target.n, encode(target.unit_key)
+    images = {i: target.table(img) for i, img in f.images}
+    acc: dict[int, dict[int, int]] = {}
     for mono, c in x.terms:
         if f.generator_level_only and len(mono) > 1:
             raise SpanError(
                 f"map '{f.label}' is generator-level only and cannot take products")
-        term = f.target.scalar(c)
+        term = {unit: dict(c.terms)}
         for i in mono:
-            term = term * f.image(i)
-        out = out + term
-    return out
+            term = table_product(n, product, term, images[i], {})
+        for code, powers in term.items():
+            acc.setdefault(code, Counter()).update(powers)
+    return target.from_table(acc)
 
 
 def compose(outer: RingMap, inner: RingMap) -> RingMap:
@@ -211,14 +220,12 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
             matrix[index[line]][col] = value
     src_moduli = [_line_modulus(f.source.ring, k) for _, k in src_lines]
     tgt_moduli = [_line_modulus(f.target.ring, k) for _, k in tgt_lines]
+    # a monomial fixes its k in a graded piece, so the codes are distinct
+    encode = f.source.codec()[0]
     out = []
     for vector, _order in module_kernel(matrix, src_moduli, tgt_moduli):
-        terms = []
-        for coord, (mono, k) in zip(vector, src_lines):
-            if coord:
-                terms.append((mono, MCoefficient(f.source.ring, f.source.profile,
-                                                 ((k, coord),))))
-        element = Element(f.source, tuple(terms))
+        element = f.source.from_table({encode(mono): {k: coord} for coord, (mono, k)
+                                       in zip(vector, src_lines) if coord})
         if element:
             out.append(element)
     return out

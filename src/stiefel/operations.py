@@ -23,12 +23,13 @@ most (n - j)/(p - 1) + 1 entries however large the index.  The recursion
 (_cartan) maps a monomial bitmask and a degree to {mask: {power of {-1}:
 integer}}, multiplies by one generator value per step through
 algebra._normal_word, and reduces each cache entry (mod p at power 0, in
-R/2R above) before it is reused.  Only the result is an Element, with one
-MCoefficient per output monomial.
+R/2R above) before it is reused: the one key product outside
+algebra.table_product, which folds in the input's coefficients before
+Presentation.from_table builds the one Element of the result.
 
 On the Tate target the squares act through the projective-space formula
 Sq^{2i}(eta^e) = binom(e, i) eta^{e+i} with sigma passing through, since
-the operations are stable under the Tate suspension.
+the operations are stable under the Tate suspension; it acts key by key.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import Element, StiefelPresentation, _mask, _monomial, _normal_word
-from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, binom_mod,
-                           is_prime)
+from .algebra import Element, StiefelPresentation, _monomial, _normal_word, table_product
+from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime
 from .errors import InadmissibleOperation, InvalidGenerator
 
 
@@ -167,39 +167,28 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     n, p, index = pres.n, op.prime, op.index
     # R/2R carries the positive {-1}-powers; it is Z/2 for p = 2, else 0
     twisted_modulus = 2 if p == 2 and not pres.profile.minus_one_is_square else 1
-    terms = [(_mask(mono), c.terms) for mono, c in x.terms]
-    support = 0
-    for mask, _ in terms:
-        support |= mask
-    table = _generator_table(n, p, index, support)
+    product = pres.codec()[2]
+    terms = pres.table(x)
+    table = _generator_table(n, p, index, terms)
     cache: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     acc: dict[int, dict[int, int]] = {}
-    for mono_mask, c in terms:
-        value = _cartan(cache, table, n, p, twisted_modulus, mono_mask, index)
-        for mask, powers in value.items():
-            dst = acc.get(mask)
-            if dst is None:
-                dst = acc[mask] = {}
-            for k1, v1 in powers.items():
-                for k2, v2 in c:
-                    k = k1 + k2
-                    dst[k] = dst.get(k, 0) + v1 * v2
-    ring, profile = pres.ring, pres.profile
-    return Element(pres, tuple(
-        (_monomial(mask), MCoefficient(ring, profile, tuple(powers.items())))
-        for mask, powers in acc.items()))
+    for mask, powers in terms.items():
+        # the coefficient multiplies as a table on the unit key
+        value = _cartan(cache, table, n, p, twisted_modulus, mask, index)
+        table_product(n, product, value, {0: powers}, acc)
+    return pres.from_table(acc)
 
 
-def _generator_table(n: int, p: int, index: int, support: int) -> dict[int, list]:
+def _generator_table(n: int, p: int, index: int, masks) -> dict[int, list]:
     """table[j] lists (b, 1 << target, c) for the nonzero values
     Sq^{2b}(rho_j) or P^b(rho_j) = c rho_target, b <= index, ascending in b,
-    for every generator j in the bitmask support.
+    for every generator j of the monomial bitmasks.
 
     target = j + b (p - 1), so b stops at (n - j) // (p - 1): the table
     costs at most index + 1 binomials per generator, and none beyond n."""
     step = p - 1
     table: dict[int, list] = {}
-    for j in _monomial(support):
+    for j in {j for mask in masks for j in _monomial(mask)}:
         row = table[j] = []
         for b in range(min(index, (n - j) // step) + 1):
             c = binom_mod(j - 1, b, p)

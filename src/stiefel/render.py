@@ -7,7 +7,7 @@ ASCII naming on the text side: r<i> for rho_i, s for sigma, e for eta, and
 from __future__ import annotations
 
 from .algebra import Element, StiefelPresentation, poincare_polynomial
-from .coefficients import Bidegree, MCoefficient
+from .coefficients import Bidegree
 from .targets import PGmPresentation
 
 
@@ -30,10 +30,6 @@ def _coeff_text(terms, latex: bool) -> str:
             piece = f"{v} {piece}" if not latex else f"{v}{piece}"
         parts.append(piece)
     return " + ".join(parts) if parts else "0"
-
-
-def mcoeff_text(c: MCoefficient, latex: bool = False) -> str:
-    return _coeff_text(c.terms, latex)
 
 
 def _term_text(mono_str: str, terms, latex: bool) -> str:

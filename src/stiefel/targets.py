@@ -149,21 +149,14 @@ def total_square_oracle(j: int, pres: PGmPresentation) -> Element:
 
 
 def basis_in_bidegree(pres: PGmPresentation, bd) -> list[tuple[PGmKey, int]]:
-    """Basis lines ((s, e), k) of the (p, q) graded piece, k the {-1}-power;
-    same conventions as the Stiefel-side enumeration."""
-    bd = Bidegree(*bd)
-    if bd.q < 0:
+    """Basis lines ((s, e), k) of the (p, q) graded piece, k the {-1}-power,
+    sorted by (k, key); same conventions as the Stiefel-side enumeration.
+
+    The line {-1}^k sigma^s eta^e sits in (s + 2e + k, s + e + k), so
+    e = p - q and k = 2q - p - s: a piece holds at most two lines."""
+    p, q = bd
+    e = p - q
+    if not 0 <= e < pres.n:
         return []
-    torsion_lines = has_torsion_lines(pres)
-    out = []
-    for s in (0, 1):
-        for e in range(pres.n):
-            base = pgm_key_bidegree((s, e))
-            k = bd.p - base.p
-            if k < 0 or bd.q - base.q != k:
-                continue
-            if k >= 1 and not torsion_lines:
-                continue
-            out.append(((s, e), k))
-    out.sort(key=lambda line: (line[1], line[0]))
-    return out
+    return [((s, e), k) for s, k in ((1, q - e - 1), (0, q - e))
+            if k == 0 or k > 0 and has_torsion_lines(pres)]

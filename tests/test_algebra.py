@@ -416,4 +416,6 @@ class TestBitmaskKernel:
             pres = StiefelPresentation(n, m, ring, profile)
             for _ in range(3):
                 x, y = _dense_element(pres, rng), _dense_element(pres, rng)
-                assert x * y == _reference_product(x, y)
+                z = x * y
+                assert z == _reference_product(x, y)
+                assert Element(z.pres, z.terms) == z

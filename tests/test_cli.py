@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -184,6 +185,16 @@ class TestBasisAndSeries:
         result = run("basis", "-p", "300", "-q", "160", "-n", "28", "--coeff", "Z/3")
         assert result.exit_code == 0
         assert result.output.strip() == "bidegree (300,160) of H(W(28,28); Z/3): 0"
+
+    def test_basis_size_guard_counts_only_low_weights(self):
+        # the count stops at weight q = 2, so GL(120)'s 288,101 bidegrees
+        # are never expanded for this one-line piece
+        start = time.perf_counter()
+        result = run("basis", "-p", "3", "-q", "2", "-n", "120")
+        assert time.perf_counter() - start < 5.0
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "bidegree (3,2) of H(W(120,120); Z/2): (Z/2)^1", "  k=0: r2"]
 
     @pytest.mark.parametrize("coeff,minus_one", [
         ("Z", "nonsquare"), ("Z/3", "nonsquare"), ("Z", "square")])

@@ -1,13 +1,18 @@
+import random
+from collections import Counter
+
 import pytest
 
-from stiefel.algebra import (StiefelPresentation, all_monomials, basis_element,
+from stiefel.algebra import (Element, StiefelPresentation, all_monomials, basis_element,
                              basis_in_bidegree, monomial_bidegree, random_element)
-from stiefel.coefficients import CoeffRing, FieldProfile
+from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import ContextMismatch, InvalidPresentation, SpanError
 from stiefel.maps import (RingMap, SymmetryKind, apply_map, comparison_map, compose,
                           immersion_pullback, kernel_basis, projection_pullback,
                           ring_map, symmetry_pullback)
 from stiefel.operations import apply_operation, square
+from stiefel.serialize import element_to_json
+from stiefel.targets import PGmPresentation
 
 Z = CoeffRing()
 Z2 = CoeffRing(2)
@@ -246,3 +251,91 @@ class TestNaturality:
                     lhs = apply_map(f, apply_operation(op, f.source.gen(j)))
                     rhs = apply_operation(op, apply_map(f, f.source.gen(j)))
                     assert lhs == rhs
+
+
+def reference_apply_map(f, x):
+    """The Element-valued apply_map that the table fold replaced, kept as the
+    reference: each term is the scalar of its coefficient times the images
+    of its generators, multiplied as Elements and added one at a time."""
+    if x.pres != f.source:
+        raise ContextMismatch(f"element is not in the source ring of '{f.label}'")
+    out = f.target.zero()
+    for mono, c in x.terms:
+        if f.generator_level_only and len(mono) > 1:
+            raise SpanError(
+                f"map '{f.label}' is generator-level only and cannot take products")
+        term = f.target.scalar(c)
+        for i in mono:
+            term = term * f.image(i)
+        out = out + term
+    return out
+
+
+def _assert_matches_reference(f, x):
+    y = apply_map(f, x)
+    assert element_to_json(y) == element_to_json(reference_apply_map(f, x)), (f.label, x)
+    assert Element(y.pres, y.terms) == y
+
+
+def _builtin_maps(n, ring, profile):
+    for m_big in range(n + 1):
+        for m_small in range(m_big + 1):
+            yield projection_pullback(n, m_small, m_big, ring, profile)
+    for m in range(n + 1):
+        if n >= 2 and m >= 1:
+            yield immersion_pullback(n, m, ring, profile)
+        yield symmetry_pullback(n, m, SymmetryKind.PERMUTATION, ring=ring, profile=profile)
+        if m >= 1:
+            yield symmetry_pullback(n, m, SymmetryKind.NEGATE_FIRST_COLUMN,
+                                    ring=ring, profile=profile)
+    yield comparison_map(n, ring, profile)
+
+
+MAP_RINGS = (Z, Z2, CoeffRing(3), CoeffRing(4))
+MAP_PROFILES = (PLAIN, FieldProfile(minus_one_is_square=True))
+
+
+class TestApplyMapAgainstReference:
+    @pytest.mark.parametrize("ring", MAP_RINGS, ids=["Z", "Z/2", "Z/3", "Z/4"])
+    @pytest.mark.parametrize("profile", MAP_PROFILES, ids=["plain", "minus-one-square"])
+    def test_builtin_maps_on_every_twisted_monomial(self, ring, profile):
+        for n in range(1, 8):
+            for f in _builtin_maps(n, ring, profile):
+                for mono in all_monomials(f.source):
+                    for k in range(3):
+                        _assert_matches_reference(f, f.source.monomial(
+                            mono, MCoefficient.minus_one(ring, profile, k)))
+
+    def test_random_multi_term_images(self):
+        # built-in maps send each generator to a single term; images drawn from
+        # whole graded pieces, such as sigma eta^{i-1} + {-1} eta^{i-1}, make
+        # the fold add several products per term
+        seen = Counter()
+        for seed in range(200):
+            rng = random.Random(seed)
+            ring, profile = MAP_RINGS[seed % 4], MAP_PROFILES[seed % 5 == 0]
+            n = rng.randint(1, 6)
+            source = StiefelPresentation(n, rng.randint(1, n), ring, profile)
+            if seed % 4:
+                target = PGmPresentation(rng.randint(1, 7), ring, profile)
+            else:
+                big = rng.randint(n, 7)
+                target = StiefelPresentation(big, rng.randint(0, big), ring, profile)
+            images = {i: random_element(target, (2 * i - 1, i), seed=1000 * seed + i)
+                      for i in source.generators}
+            f = ring_map(source, target, images, "random")
+            multi = any(len(img.terms) > 1 for img in images.values())
+            seen[f.generator_level_only, multi] += 1
+            inputs = [source.monomial(mono, MCoefficient.minus_one(ring, profile, k))
+                      for mono in all_monomials(source) for k in range(3)]
+            inputs += [random_element(source, None, seed=seed + t) for t in range(3)]
+            for x in inputs:
+                if f.generator_level_only and any(len(mono) > 1 for mono, _ in x.terms):
+                    with pytest.raises(SpanError):
+                        apply_map(f, x)
+                    with pytest.raises(SpanError):
+                        reference_apply_map(f, x)
+                else:
+                    _assert_matches_reference(f, x)
+        # total and generator-level maps, each with multi-term images
+        assert min(seen[True, True], seen[False, True]) >= 10, seen

@@ -278,9 +278,11 @@ class TestKernelAgainstReference:
                 for mono in all_monomials(pres):
                     for k in range(3):
                         x = pres.monomial(mono, MCoefficient.minus_one(pres.ring, pres.profile, k))
-                        assert (element_to_json(apply_operation(op, x))
+                        y = apply_operation(op, x)
+                        assert (element_to_json(y)
                                 == element_to_json(reference_apply(cartan, op, x))), \
                             (op.describe(), pres, mono, k)
+                        assert Element(y.pres, y.terms) == y
 
     def test_seeded_sums(self, context):
         for pres, ops in operation_contexts(context):
@@ -290,9 +292,11 @@ class TestKernelAgainstReference:
                     x = x + random_element(pres, None, seed=10 * seed + part)
                 x = x * random_element(pres, None, seed=1000 + seed) + x
                 for op in ops:
-                    assert (element_to_json(apply_operation(op, x))
+                    y = apply_operation(op, x)
+                    assert (element_to_json(y)
                             == element_to_json(reference_apply(reference_cartan(op, pres), op, x))), \
                         (op.describe(), pres, seed)
+                    assert Element(y.pres, y.terms) == y
 
 
 class TestKernelCost:

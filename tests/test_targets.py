@@ -101,7 +101,9 @@ class TestProductAgainstReference:
                              for s in (0, 1) for e in range(n) for k in range(3)]
                     for x in lines:
                         for y in lines:
-                            assert x * y == reference_tate_product(x, y), (x, y)
+                            z = x * y
+                            assert z == reference_tate_product(x, y), (x, y)
+                            assert PGmElement(z.pres, z.terms) == z
 
     def test_seeded_sums(self):
         for seed in range(400):
@@ -109,8 +111,10 @@ class TestProductAgainstReference:
             x = sum((random_element(pres, None, seed=seed * 3 + t) for t in range(3)),
                     pres.zero())
             y = random_element(pres, None, seed=seed + 10_000) - pres.unit(seed % 5)
-            assert x * y == reference_tate_product(x, y)
-            assert y * x == reference_tate_product(y, x)
+            for u, v in ((x, y), (y, x)):
+                z = u * v
+                assert z == reference_tate_product(u, v)
+                assert PGmElement(z.pres, z.terms) == z
 
 
 class TestSqProjective:
@@ -177,3 +181,31 @@ class TestBasis:
         for j in range(1, 7):
             free = [line for line in basis_in_bidegree(pres, (2 * j - 1, j)) if line[1] == 0]
             assert free == [((1, j - 1), 0)]
+
+
+def _filtered_pieces(pres, max_k):
+    """Map each bidegree to its sorted basis lines by filing every (s, e, k),
+    k <= max_k, under bidegree(sigma^s eta^e) + (k, k); the closed form
+    e = p - q, k = 2q - p - s plays no part here."""
+    torsion = pres.ring.modulus % 2 == 0 and not pres.profile.minus_one_is_square
+    pieces = {}
+    for s in (0, 1):
+        for e in range(pres.n):
+            for k in range(max_k + 1 if torsion else 1):
+                pieces.setdefault(pgm_key_bidegree((s, e)) + (k, k), []).append(((s, e), k))
+    for lines in pieces.values():
+        lines.sort(key=lambda line: (line[1], line[0]))
+    return pieces
+
+
+class TestEnumeratorAgainstFilter:
+    @pytest.mark.parametrize("ring", [Z, Z2, CoeffRing(3)], ids=["Z", "Z/2", "Z/3"])
+    @pytest.mark.parametrize("profile", PROFILES, ids=["plain", "minus-one-square"])
+    def test_every_piece_up_to_n8(self, ring, profile):
+        for n in range(1, 9):
+            pres = pgm(n, ring, profile)
+            pieces = _filtered_pieces(pres, 40)
+            for p in range(-3, 30):
+                for q in range(-3, 30):
+                    assert basis_in_bidegree(pres, (p, q)) == pieces.get((p, q), []), \
+                        (pres, p, q)
