@@ -4,7 +4,8 @@ Each group renders a fixed, seeded set of requests to text and compares
 the sha256 of that text with a digest recorded from a known-good build: CLI
 text, JSON and LaTeX output, the JSON wire format, products and sums in
 both rings, Tate lines and random elements, operations, comparison-map
-images and kernels, and every suite verdict with its case count.  A
+images, the graded-piece kernels of every total built-in map and of
+random multi-term maps, and every suite verdict with its case count.  A
 refactor that is meant to change no output must leave every digest as it
 is.  `python tests/test_golden.py` prints the current digests.
 """
@@ -21,7 +22,8 @@ from stiefel import algebra, targets
 from stiefel.algebra import StiefelPresentation
 from stiefel.cli import main
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
-from stiefel.maps import apply_map, comparison_map, kernel_basis
+from stiefel.maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
+                          kernel_basis, projection_pullback, ring_map, symmetry_pullback)
 from stiefel.operations import apply_operation, bockstein, power, square
 from stiefel.render import element_text
 from stiefel.serialize import element_to_json
@@ -29,8 +31,6 @@ from stiefel.targets import PGmElement, PGmPresentation
 
 RINGS = (CoeffRing(), CoeffRing(2), CoeffRing(3), CoeffRing(4))
 PROFILES = (FieldProfile(), FieldProfile(minus_one_is_square=True))
-# the generator of random elements that takes a Tate presentation
-tate_random_element = getattr(targets, "random_element", algebra.random_element)
 
 
 def _digest(lines) -> str:
@@ -98,9 +98,9 @@ def group_tate_lines() -> list[str]:
                 lines = targets.basis_in_bidegree(pres, (p, q))
                 out.append(f"{n} {ring.name} {profile.minus_one_is_square} ({p},{q}) {lines}")
                 if lines:
-                    out.append(element_to_json(tate_random_element(pres, (p, q), seed=p * q)))
+                    out.append(element_to_json(algebra.random_element(pres, (p, q), seed=p * q)))
         for seed in range(4):
-            out.append(element_to_json(tate_random_element(pres, None, seed=seed)))
+            out.append(element_to_json(algebra.random_element(pres, None, seed=seed)))
     return out
 
 
@@ -124,6 +124,68 @@ def group_tate_operations() -> list[str]:
                 for q in range(n + 2):
                     for deg in range(2 * q + 1):
                         out += [element_to_json(k) for k in kernel_basis(f, (deg, q))]
+    return out
+
+
+def _total_maps(n, ring, profile):
+    """Every total built-in map out of a Stiefel ring with ambient dimension n."""
+    for m_big in range(n + 1):
+        for m_small in range(m_big + 1):
+            yield projection_pullback(n, m_small, m_big, ring, profile)
+    for m in range(n + 1):
+        if n >= 2 and m >= 1:
+            yield immersion_pullback(n, m, ring, profile)
+        yield symmetry_pullback(n, m, SymmetryKind.PERMUTATION, ring=ring, profile=profile)
+        if m >= 1:
+            yield symmetry_pullback(n, m, SymmetryKind.NEGATE_FIRST_COLUMN,
+                                    ring=ring, profile=profile)
+    yield comparison_map(n, ring, profile)
+
+
+def _random_total_maps():
+    """Total ring_maps whose generator images are whole random graded pieces,
+    so that a generator may go to several terms."""
+    found = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        ring, profile = RINGS[seed % 4], PROFILES[seed % 3 == 0]
+        n = rng.randint(1, 5)
+        source = StiefelPresentation(n, rng.randint(1, n), ring, profile)
+        if seed % 2:
+            target = PGmPresentation(rng.randint(1, 6), ring, profile)
+        else:
+            big = rng.randint(n, 6)
+            target = StiefelPresentation(big, rng.randint(0, big), ring, profile)
+        images = {i: algebra.random_element(target, (2 * i - 1, i), seed=1000 * seed + i)
+                  for i in source.generators}
+        f = ring_map(source, target, images, f"random-{seed}")
+        if not f.generator_level_only and any(len(img.terms) > 1 for img in images.values()):
+            yield f
+            found += 1
+            if found == 12:
+                return
+
+
+def _kernel_lines(f) -> list[str]:
+    out = []
+    top = sum(f.source.generators)
+    for q in range(top + 2):
+        for deg in range(q, 2 * q + 1):
+            kernel = kernel_basis(f, (deg, q))
+            if kernel:
+                out.append(f"{f.label} {f.source} ({deg},{q})")
+                out += [element_to_json(k) for k in kernel]
+    return out
+
+
+def group_kernels() -> list[str]:
+    out = []
+    for ring, profile, n in _contexts(5):
+        for f in _total_maps(n, ring, profile):
+            out += _kernel_lines(f)
+    for f in _random_total_maps():
+        out += [f"{f.target}"] + [element_to_json(img) for _, img in f.images]
+        out += _kernel_lines(f)
     return out
 
 
@@ -194,6 +256,7 @@ GROUPS = {
     "tate-operations": group_tate_operations,
     "cli": group_cli,
     "cli-json-elements": group_cli_json_elements,
+    "kernels": group_kernels,
 }
 
 GOLDEN = {
@@ -204,6 +267,7 @@ GOLDEN = {
     "tate-operations": "6de1a34ad10f97784ee0d88955dac8351780cc26d13dadab0dcddcc233910738",
     "cli": "362e7e9fd3702eafc04edb3801409323110aaf18483881f594226ecb914490d0",
     "cli-json-elements": "5ef9c036fc4afcd3bf0acb6237100101c7ad8e1d43319d1fdbf40cea7eed3908",
+    "kernels": "65fb22a8d10b50643529f16c94cc51d0a55129c000239468a7764b48c2eec3d8",
 }
 
 
