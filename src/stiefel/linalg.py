@@ -11,12 +11,14 @@ such sums, and its kernel is computed here by lifting everything to Z:
 
 with s_i, t_j the annihilators of the source and target lines (0 for a
 free line).  module_kernel finds both in one exact-integer elimination
-over sparse vectors: it refines a basis of L one target row at a time,
-carrying the coordinates of the D generators in that basis along, and
-then diagonalizes those coordinates, so that L/D splits into cyclic
-summands.  Its work follows the nonzero entries of the map.  There is no
-division over Q and no change of basis back to Z^a at the end.
-integer_kernel is the same elimination with every modulus 0.
+over sparse vectors: M comes in as one {column: value} dict per target
+line, and each kernel vector goes out as one with no zero entry, so the
+work follows the nonzero entries of the map.  It refines a basis of L one
+target row at a time, carrying the coordinates of the D generators in
+that basis along, and then diagonalizes those coordinates, so that L/D
+splits into cyclic summands.  There is no division over Q and no change
+of basis back to Z^a at the end.  integer_kernel is the same elimination
+with every modulus 0.
 
 solve_integer and diagonalize are public helpers off the kernel path,
 kept with their names and signatures: the first solves a lattice
@@ -30,8 +32,9 @@ import math
 from fractions import Fraction
 
 
-def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the lattice {v in Z^ncols : rows . v = 0}.
+def integer_kernel(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Basis of the lattice {v in Z^ncols : rows . v = 0}, with rows and
+    vectors in the sparse forms of module_kernel.
 
     The free generators of module_kernel with every modulus 0.  They span
     the full kernel lattice, not a finite-index sublattice: each row changes
@@ -179,14 +182,16 @@ def _addmul(dst: dict[int, int], src: dict[int, int], q: int, owner: int,
             index[c].discard(owner)
 
 
-def module_kernel(matrix: list[list[int]], src_moduli: list[int],
-                  tgt_moduli: list[int]) -> list[tuple[list[int], int]]:
+def module_kernel(rows: list[dict[int, int]], src_moduli: list[int],
+                  tgt_moduli: list[int]) -> list[tuple[dict[int, int], int]]:
     """Generators of the kernel of a map between direct sums of cyclic groups.
 
-    matrix has one row per target line and one column per source line
-    (modulus 0 marks a copy of Z).  Returns (vector, order) pairs giving
-    independent generators of the kernel subgroup, order 0 marking a free
-    generator; coordinates come back reduced modulo their line modulus.
+    rows holds one {source column: value} dict per target line, possibly
+    empty, whose zero values are ignored (modulus 0 marks a copy of Z).
+    Returns (vector, order) pairs giving independent generators of the
+    kernel subgroup, order 0 marking a free generator; each vector is a
+    {source column: value} dict reduced modulo the line moduli, with no
+    zero entry.
 
     The elimination keeps a basis b_i of L, starting from the unit vectors,
     and the coordinates c_i of the D generators in it (s_k e_k is the sum
@@ -218,8 +223,8 @@ def module_kernel(matrix: list[list[int]], src_moduli: list[int],
         _addmul(basis[i], basis[j], q, i, owners)
         _addmul(coords[j], coords[i], -q, j, users)
 
-    for row, t in zip(matrix, tgt_moduli):
-        cols = [(c, v) for c, v in enumerate(row) if v]
+    for row, t in zip(rows, tgt_moduli):
+        cols = [(c, v) for c, v in row.items() if v]
         values = {}
         for i in set().union(*(owners[c] for c, _ in cols)):
             value = sum(v * basis[i].get(c, 0) for c, v in cols)
@@ -280,12 +285,8 @@ def module_kernel(matrix: list[list[int]], src_moduli: list[int],
     out = []
     for i, vec in basis.items():
         order = orders.get(i, 0)
-        if order == 1:
-            continue
-        dense = [0] * a
-        for c, v in vec.items():
-            s = src_moduli[c]
-            dense[c] = v % s if s else v
-        if any(dense):
-            out.append((dense, order))
+        vec = {c: v % src_moduli[c] if src_moduli[c] else v for c, v in vec.items()}
+        vec = {c: v for c, v in vec.items() if v}
+        if vec and order != 1:
+            out.append((vec, order))
     return out

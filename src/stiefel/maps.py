@@ -1,11 +1,12 @@
 """Ring homomorphisms between the computed rings.
 
-Maps are stored by generator images and extended additively and
-multiplicatively on demand, on integer tables (algebra.table_product);
-{-1}-powers map to themselves.  Construction verifies that the images
-respect the squaring relations; a map failing that check is kept, but
-downgraded to generator-level and usable only on the span of single
-generators.
+Maps are stored by generator images.  apply_map and kernel_basis share
+one fold, _image_tables, that extends them multiplicatively on integer
+tables (algebra.table_product); {-1}-powers map to themselves.  apply_map
+sums the tables and kernel_basis writes them into module_kernel rows.
+Construction verifies that the images respect the squaring relations; a
+map failing that check is kept, but downgraded to generator-level and
+usable only on the span of single generators.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .algebra import (Element, Presentation, StiefelPresentation, basis_element,
-                      table_product)
+from .algebra import Element, Presentation, StiefelPresentation, table_product
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
@@ -88,26 +88,33 @@ def _respects_square(source: StiefelPresentation, imgs: Mapping[int, Element],
     return lhs == rhs
 
 
+def _image_tables(f: RingMap, terms: Iterable[tuple[tuple[int, ...], dict[int, int]]]):
+    """The target table of f on each (monomial, {power of {-1}: int}) term,
+    with the generator images tabulated once per call."""
+    target = f.target
+    encode, _, product = target.codec()
+    n, unit = target.n, encode(target.unit_key)
+    images = {i: target.table(img) for i, img in f.images}
+    for mono, powers in terms:
+        if f.generator_level_only and len(mono) > 1:
+            raise SpanError(
+                f"map '{f.label}' is generator-level only and cannot take products")
+        term = {unit: powers}
+        for i in mono:
+            term = table_product(n, product, term, images[i], {})
+        yield term
+
+
 def apply_map(f: RingMap, x: Element) -> Element:
     """Extend f additively and multiplicatively to x; {-1}^k maps to {-1}^k.
     The terms are summed in one table, so one element is built per call."""
     if x.pres != f.source:
         raise ContextMismatch(f"element is not in the source ring of '{f.label}'")
-    target = f.target
-    encode, _, product = target.codec()
-    n, unit = target.n, encode(target.unit_key)
-    images = {i: target.table(img) for i, img in f.images}
     acc: dict[int, dict[int, int]] = {}
-    for mono, c in x.terms:
-        if f.generator_level_only and len(mono) > 1:
-            raise SpanError(
-                f"map '{f.label}' is generator-level only and cannot take products")
-        term = {unit: dict(c.terms)}
-        for i in mono:
-            term = table_product(n, product, term, images[i], {})
+    for term in _image_tables(f, ((mono, dict(c.terms)) for mono, c in x.terms)):
         for code, powers in term.items():
             acc.setdefault(code, Counter()).update(powers)
-    return target.from_table(acc)
+    return f.target.from_table(acc)
 
 
 def compose(outer: RingMap, inner: RingMap) -> RingMap:
@@ -186,17 +193,6 @@ def comparison_map(n: int,
     return ring_map(source, target, images, "cmp")
 
 
-def _line_coords(y: Element):
-    for key, c in y.terms:
-        for k, value in c.terms:
-            yield (key, k), value
-
-
-def _line_modulus(ring: CoeffRing, k: int) -> int:
-    # lines with k >= 1 carry R/2R; they are only enumerated when that is Z/2
-    return ring.modulus if k == 0 else 2
-
-
 def kernel_basis(f: RingMap, bd) -> list[Element]:
     """Basis of the kernel of f on the (p, q) graded piece.
 
@@ -210,22 +206,23 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     if not src_lines:
         return []
     tgt_lines = f.target.lines(bd)
-    index = {line: t for t, line in enumerate(tgt_lines)}
-    matrix = [[0] * len(src_lines) for _ in tgt_lines]
-    for col, (mono, k) in enumerate(src_lines):
-        y = apply_map(f, basis_element(f.source, mono, k))
-        for line, value in _line_coords(y):
-            if line not in index:
-                raise AssertionError(f"image term {line} missed the graded piece {bd}")
-            matrix[index[line]][col] = value
-    src_moduli = [_line_modulus(f.source.ring, k) for _, k in src_lines]
-    tgt_moduli = [_line_modulus(f.target.ring, k) for _, k in tgt_lines]
+    ring, profile = f.target.ring, f.target.profile
+    encode, decode = f.target.codec()[:2]
+    index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
+    rows: list[dict[int, int]] = [{} for _ in tgt_lines]
+    for col, table in enumerate(_image_tables(f, ((mono, {k: 1}) for mono, k in src_lines))):
+        for code, powers in table.items():
+            # reduced by the normal form of apply_map
+            for k, value in MCoefficient(ring, profile, tuple(powers.items())).terms:
+                if (code, k) not in index:
+                    raise AssertionError(
+                        f"image term {(decode(code), k)} missed the graded piece {bd}")
+                rows[index[code, k]][col] = value
+    # lines with k >= 1 carry R/2R; they are only enumerated when that is Z/2
+    src_moduli = [f.source.ring.modulus if k == 0 else 2 for _, k in src_lines]
+    tgt_moduli = [ring.modulus if k == 0 else 2 for _, k in tgt_lines]
     # a monomial fixes its k in a graded piece, so the codes are distinct
     encode = f.source.codec()[0]
-    out = []
-    for vector, _order in module_kernel(matrix, src_moduli, tgt_moduli):
-        element = f.source.from_table({encode(mono): {k: coord} for coord, (mono, k)
-                                       in zip(vector, src_lines) if coord})
-        if element:
-            out.append(element)
-    return out
+    return [f.source.from_table({encode(src_lines[c][0]): {src_lines[c][1]: value}
+                                 for c, value in vector.items()})
+            for vector, _order in module_kernel(rows, src_moduli, tgt_moduli)]

@@ -3,11 +3,34 @@ import random
 
 import pytest
 
-from stiefel.linalg import diagonalize, integer_kernel, module_kernel, solve_integer
+from stiefel import linalg
+from stiefel.linalg import diagonalize, solve_integer
 
 
 def mat_vec(rows, v):
     return [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+
+# module_kernel and integer_kernel take and return sparse {column: value}
+# rows and vectors.  The tests below state their inputs and expectations as
+# dense lists, as the solve_integer and diagonalize references do; these
+# wrappers are the one place that converts between the two forms.
+
+def sparse_rows(matrix):
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def dense(vector, ncols):
+    return [vector.get(c, 0) for c in range(ncols)]
+
+
+def module_kernel(matrix, src_moduli, tgt_moduli):
+    return [(dense(vec, len(src_moduli)), order)
+            for vec, order in linalg.module_kernel(sparse_rows(matrix), src_moduli, tgt_moduli)]
+
+
+def integer_kernel(rows, ncols):
+    return [dense(vec, ncols) for vec in linalg.integer_kernel(sparse_rows(rows), ncols)]
 
 
 class TestIntegerKernel:
@@ -121,9 +144,8 @@ def _in_lattice(v, basis_gens):
         return True
     if not basis_gens:
         return False
-    from stiefel.linalg import integer_kernel as ik
     rows = [[*[col[r] for col in basis_gens], -v[r]] for r in range(len(v))]
-    kern = ik(rows, len(basis_gens) + 1)
+    kern = integer_kernel(rows, len(basis_gens) + 1)
     g = 0
     for k in kern:
         g = math.gcd(g, k[-1])
@@ -224,6 +246,29 @@ class TestModuleKernel:
 
     def test_no_columns(self):
         assert module_kernel([[], []], [], [2, 4]) == []
+
+    def test_sparse_row_forms(self):
+        # rows that leave out zeros, rows that spell them out, and empty rows
+        # give the same generators; the vectors hold no zero entry and no
+        # column outside the source, and each entry is reduced mod its line
+        rng = random.Random(6)
+        for _ in range(300):
+            src = [rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(0, 5))]
+            tgt = [rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(0, 5))]
+            matrix = random_well_defined_map(rng, src, tgt)
+            gens = linalg.module_kernel(sparse_rows(matrix), src, tgt)
+            explicit = [dict(enumerate(row)) for row in matrix]
+            assert linalg.module_kernel(explicit, src, tgt) == gens
+            padded, padded_tgt = sparse_rows(matrix), list(tgt)
+            for t in (0, 2, 4):
+                at = rng.randint(0, len(padded))
+                padded.insert(at, rng.choice([{}, dict.fromkeys(range(len(src)), 0)]))
+                padded_tgt.insert(at, t)
+            assert linalg.module_kernel(padded, src, padded_tgt) == gens
+            for vec, _ in gens:
+                assert vec and set(vec) <= set(range(len(src)))
+                for c, v in vec.items():
+                    assert v != 0 and (not src[c] or 0 < v < src[c]), (matrix, src, tgt, gens)
 
 
 # --------------------------------------------------------------------------

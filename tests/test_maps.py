@@ -10,7 +10,7 @@ from stiefel.errors import ContextMismatch, InvalidPresentation, SpanError
 from stiefel.maps import (RingMap, SymmetryKind, apply_map, comparison_map, compose,
                           immersion_pullback, kernel_basis, projection_pullback,
                           ring_map, symmetry_pullback)
-from stiefel.operations import apply_operation, square
+from stiefel.operations import apply_operation, power, square
 from stiefel.serialize import element_to_json
 from stiefel.targets import PGmPresentation
 
@@ -251,6 +251,36 @@ class TestNaturality:
                     lhs = apply_map(f, apply_operation(op, f.source.gen(j)))
                     rhs = apply_operation(op, apply_map(f, f.source.gen(j)))
                     assert lhs == rhs
+
+
+class TestNaturalityOnTwistedMonomials:
+    # f(P x) = P(f x) on every monomial times {-1}^k, k <= 1.  For cmp the two
+    # sides run the Stiefel Cartan kernel and _apply_tate, which share no code
+    OPERATIONS = ((CoeffRing(2), [square(2 * i) for i in range(7)]),
+                  (CoeffRing(3), [power(i, 3) for i in range(4)]),
+                  (CoeffRing(5), [power(i, 5) for i in range(4)]))
+
+    @pytest.mark.parametrize("profile", [PLAIN, FieldProfile(minus_one_is_square=True)],
+                             ids=["plain", "minus-one-square"])
+    def test_cmp_imm_proj(self, profile):
+        cases = 0
+        for ring, ops in self.OPERATIONS:
+            for n in range(1, 7):
+                maps = [comparison_map(n, ring, profile)]
+                maps += [immersion_pullback(n, m, ring, profile)
+                         for m in range(1, n + 1) if n >= 2]
+                maps += [projection_pullback(n, m_small, m_big, ring, profile)
+                         for m_big in range(n + 1) for m_small in range(m_big + 1)]
+                for f in maps:
+                    for mono in all_monomials(f.source):
+                        for k in range(2):
+                            x = f.source.monomial(mono, MCoefficient.minus_one(ring, profile, k))
+                            fx = apply_map(f, x)
+                            for op in ops:
+                                lhs = apply_map(f, apply_operation(op, x))
+                                assert lhs == apply_operation(op, fx), (f.label, n, op, mono, k)
+                                cases += 1
+        assert cases == 24870, cases
 
 
 def reference_apply_map(f, x):
