@@ -245,21 +245,14 @@ class Element:
         return bool(self.terms)
 
     def coefficient(self, key: Iterable[int]) -> MCoefficient:
-        key = tuple(key)
-        for m, c in self.terms:
-            if m == key:
-                return c
-        return MCoefficient.zero(self.pres.ring, self.pres.profile)
+        return dict(self.terms).get(tuple(key),
+                                    MCoefficient.zero(self.pres.ring, self.pres.profile))
 
     def bidegrees(self) -> set[Bidegree]:
         """Bidegrees of the homogeneous constituents, one per key and
         {-1}-power (a single {-1}^k factor contributes (k, k))."""
-        out = set()
-        for key, c in self.terms:
-            base = self.pres.key_bidegree(key)
-            for k, _ in c.terms:
-                out.add(base + (k, k))
-        return out
+        return {self.pres.key_bidegree(key) + (k, k) for key, c in self.terms
+                for k, _ in c.terms}
 
     def is_homogeneous(self) -> bool:
         return len(self.bidegrees()) <= 1
@@ -392,7 +385,8 @@ def basis_in_bidegree(pres: StiefelPresentation, bd) -> list[tuple[Monomial, int
     r-subsets of a run of consecutive integers a .. b reach every sum in
     [r a + r(r-1)/2, r b - r(r-1)/2], so bounding each next index by that
     interval prunes exactly: the walk never meets a dead end, and its cost
-    scales with the number of lines, not with 2^m.
+    scales with the number of lines, not with 2^m, nor with their length:
+    the short subsets that end the lines are listed once per call.
     """
     p, q = bd
     if q < 0:
@@ -401,15 +395,22 @@ def basis_in_bidegree(pres: StiefelPresentation, bd) -> list[tuple[Monomial, int
     # k ranges over S >= 0 (k <= q) and 0 <= L <= m
     top = min(q if has_torsion_lines(pres) else 0, 2 * q - p)
     out: list[tuple[Monomial, int]] = []
+    endings: dict[tuple[int, int, int], list[tuple[Monomial, int]]] = {}
     for k in range(max(0, 2 * q - p - pres.m), top + 1):
-        _append_subsets(out, k, (), lo, hi, 2 * q - p - k, q - k)
+        _append_subsets(out, k, (), lo, hi, 2 * q - p - k, q - k, endings)
     return out
 
 
 def _append_subsets(out: list, k: int, prefix: Monomial, lo: int, hi: int,
-                    r: int, s: int) -> None:
+                    r: int, s: int, endings: dict) -> None:
     """Append (prefix + I, k) to out for every r-subset I of lo .. hi with
-    sum s, in ascending lexicographic order."""
+    sum s, in ascending lexicographic order.  The subsets of at most 4
+    indices are listed once in endings and shared by every prefix."""
+    if prefix and r <= 4:
+        if (lo, r, s) not in endings:
+            _append_subsets(endings.setdefault((lo, r, s), []), k, (), lo, hi, r, s, endings)
+        out += [(prefix + rest, k) for rest, _ in endings[lo, r, s]]
+        return
     if r == 0:
         if s == 0:
             out.append((prefix, k))
@@ -419,7 +420,7 @@ def _append_subsets(out: list, k: int, prefix: Monomial, lo: int, hi: int,
     first = max(lo, s - (r - 1) * hi + (r - 1) * (r - 2) // 2)
     last = min(hi - r + 1, (s - r * (r - 1) // 2) // r)
     for x in range(first, last + 1):
-        _append_subsets(out, k, prefix + (x,), x + 1, hi, r - 1, s - x)
+        _append_subsets(out, k, prefix + (x,), x + 1, hi, r - 1, s - x, endings)
 
 
 def basis_element(pres: Presentation, key, k: int) -> Element:
