@@ -2,15 +2,16 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 report.  All equalities are exact; the only tolerances are the stated
-runtime budgets.
+runtime budgets.  Each criterion asserts on the one seed-0 run of its
+suites that the whole test session shares (`suite_runs.suite_run`), and
+each budget is that run's measured wall time.
 """
-
-import time
 
 from stiefel.algebra import basis_in_bidegree
 from stiefel.coefficients import CoeffRing, FieldProfile
 from stiefel.maps import apply_map, comparison_map
-from stiefel import suites
+
+from suite_runs import suite_run
 
 Z2 = CoeffRing(2)
 
@@ -19,24 +20,21 @@ def _report(number: int, title: str) -> None:
     print(f"ACCEPTANCE {number} ({title}): PASS")
 
 
-def _run(name: str, seed: int = 0) -> suites.SuiteResult:
-    result = suites.run_suite(name, seed)
-    assert result.passed, f"suite {name} failed: " + "; ".join(result.failures)
-    return result
+def _run(name: str) -> float:
+    """Assert that the shared seed-0 run of a suite passed; return its seconds."""
+    run = suite_run(name, 0)
+    assert run.result.passed, f"suite {name} failed: " + "; ".join(run.result.failures)
+    return run.seconds
 
 
 def test_criterion_1_ring_presentation():
-    start = time.perf_counter()
-    _run("squares")
-    elapsed = time.perf_counter() - start
+    elapsed = _run("squares")
     assert elapsed < 1.0, f"squares took {elapsed:.2f}s, budget is 1s"
     _report(1, "ring presentation, n <= 8, over Z and Z/2 and with -1 square")
 
 
 def test_criterion_2_additive_structure():
-    start = time.perf_counter()
-    _run("rank")
-    elapsed = time.perf_counter() - start
+    elapsed = _run("rank")
     assert elapsed < 1.0, f"rank took {elapsed:.2f}s, budget is 1s"
     _report(2, "rank 2^n for n <= 12 and Poincare polynomials for n <= 8")
 
@@ -79,11 +77,7 @@ def test_criterion_7_induced_maps():
 
 
 def test_criterion_8_algebra_laws():
-    start = time.perf_counter()
-    _run("commutativity")
-    _run("associativity")
-    _run("distributivity")
-    _run("confluence")
-    elapsed = time.perf_counter() - start
+    elapsed = sum(_run(name) for name in
+                  ("commutativity", "associativity", "distributivity", "confluence"))
     assert elapsed < 30.0, f"algebra-law suites took {elapsed:.2f}s, budget is 30s"
     _report(8, "graded commutativity, associativity, distributivity, confluence")

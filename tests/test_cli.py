@@ -4,10 +4,13 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from stiefel import suites
 from stiefel.algebra import basis_element, basis_in_bidegree
 from stiefel.cli import _piece_size, build_presentation, main
 from stiefel.render import basis_report, element_text
 from stiefel.serialize import element_from_json
+
+from suite_runs import shared_result
 
 
 def run(*args, env=None):
@@ -285,7 +288,9 @@ class TestCheck:
         assert result.exit_code == 0
         assert "PASS commutativity" in result.output
 
-    def test_cartan_oracle_suite(self):
+    def test_cartan_oracle_suite(self, monkeypatch):
+        # the seed-0 run that the acceptance and golden tests share
+        monkeypatch.setattr(suites, "run_suite", shared_result)
         result = run("check", "--suite", "cartan-oracle")
         assert result.exit_code == 0
         assert "PASS cartan-oracle" in result.output
@@ -294,7 +299,9 @@ class TestCheck:
         result = run("check", "--suite", "nonsense")
         assert result.exit_code == 2
 
-    def test_seed_env_override(self):
+    def test_seed_env_override(self, monkeypatch):
+        # one shared run per seed: an ignored STIEFEL_SEED would show seed=123
+        monkeypatch.setattr(suites, "run_suite", shared_result)
         with_flag = run("check", "--suite", "associativity", "--seed", "7")
         with_env = run("check", "--suite", "associativity", "--seed", "123",
                        env={"STIEFEL_SEED": "7"})

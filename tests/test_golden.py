@@ -5,20 +5,25 @@ the sha256 of that text with a digest recorded from a known-good build: CLI
 text, JSON and LaTeX output, the JSON wire format, products and sums in
 both rings, Tate lines and random elements, operations, comparison-map
 images, the graded-piece kernels of every total built-in map and of
-random multi-term maps, and every suite verdict with its case count.  A
-refactor that is meant to change no output must leave every digest as it
-is.  `python tests/test_golden.py` prints the current digests.
+random multi-term maps, every suite verdict with its case count, the
+(ok, message) of every check the suites make, and the failures they report
+under a planted failure rule.  A refactor that is meant to change no output
+must leave every digest as it is.  `python tests/test_golden.py [GROUP ...]`
+prints the current digests of the named groups, or of all of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import zlib
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
-from stiefel import algebra, targets
+from stiefel import algebra, suites, targets
 from stiefel.algebra import StiefelPresentation
 from stiefel.cli import main
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
@@ -28,6 +33,8 @@ from stiefel.operations import apply_operation, bockstein, power, square
 from stiefel.render import element_text
 from stiefel.serialize import element_to_json
 from stiefel.targets import PGmElement, PGmPresentation
+
+from suite_runs import shared_result, suite_run
 
 RINGS = (CoeffRing(), CoeffRing(2), CoeffRing(3), CoeffRing(4))
 PROFILES = (FieldProfile(), FieldProfile(minus_one_is_square=True))
@@ -60,8 +67,32 @@ def _random_tate(pres: PGmPresentation, rng: random.Random):
 
 
 def group_check() -> list[str]:
-    result = CliRunner().invoke(main, ["check", "--suite", "all", "--seed", "0"])
+    with mock.patch.object(suites, "run_suite", shared_result):
+        result = CliRunner().invoke(main, ["check", "--suite", "all", "--seed", "0"])
     return [str(result.exit_code), result.output]
+
+
+def group_suite_cases() -> list[str]:
+    """The case log of every suite at seed 0, from the run `check` shows."""
+    return [f"{name} {suite_run(name, 0).case_log}" for name in suites.suite_names()]
+
+
+def group_suite_failures() -> list[str]:
+    """Every suite at seeds 0 and 1 with the verdict of each check whose
+    message has a crc32 divisible by 5 flipped, so that each suite reaches
+    its stops at saturation."""
+    check = suites.SuiteResult.check
+
+    def planted(self, ok, message):
+        check(self, ok != (zlib.crc32(message.encode()) % 5 == 0), message)
+
+    out = []
+    with mock.patch.object(suites.SuiteResult, "check", planted):
+        for seed in (0, 1):
+            for name in suites.suite_names():
+                result = suites.run_suite(name, seed)
+                out.append(f"{seed} {result.name} {result.cases} {result.failures}")
+    return out
 
 
 def group_stiefel_arithmetic() -> list[str]:
@@ -257,6 +288,8 @@ GROUPS = {
     "cli": group_cli,
     "cli-json-elements": group_cli_json_elements,
     "kernels": group_kernels,
+    "suite-cases": group_suite_cases,
+    "suite-failures": group_suite_failures,
 }
 
 GOLDEN = {
@@ -268,6 +301,8 @@ GOLDEN = {
     "cli": "362e7e9fd3702eafc04edb3801409323110aaf18483881f594226ecb914490d0",
     "cli-json-elements": "5ef9c036fc4afcd3bf0acb6237100101c7ad8e1d43319d1fdbf40cea7eed3908",
     "kernels": "65fb22a8d10b50643529f16c94cc51d0a55129c000239468a7764b48c2eec3d8",
+    "suite-cases": "82b04be9a10fdf121800a59cae49b4540adc5870b4c103c9c51acdb04870c73b",
+    "suite-failures": "1dc00d00a5714ce61227f952dea2398c0401ce8c84a40de8e8f502ed213b1eff",
 }
 
 
@@ -277,5 +312,5 @@ def test_output_matches_golden_digest(name):
 
 
 if __name__ == "__main__":
-    for name, build in GROUPS.items():
-        print(f'    "{name}": "{_digest(build())}",')
+    for name in sys.argv[1:] or GROUPS:
+        print(f'    "{name}": "{_digest(GROUPS[name]())}",')

@@ -299,6 +299,50 @@ class TestKernelAgainstReference:
                     assert Element(y.pres, y.terms) == y
 
 
+def reduced_power(i, p):
+    """P^i at an odd prime; at p = 2, P^i stands for Sq^{2i}."""
+    return square(2 * i) if p == 2 else power(i, p)
+
+
+def adem_terms(a, b, p):
+    """(c, a + b - i, i) for the terms c P^{a+b-i} P^i of the Adem relation
+    for P^a P^b, a < pb, with binomials from math.comb:
+
+        P^a P^b = sum_i (-1)^{a+i} C((p-1)(b-i) - 1, a - pi) P^{a+b-i} P^i.
+
+    At p = 2 this reads Sq^{2a} Sq^{2b} = sum_i C(2b-2i-1, 2a-4i)
+    Sq^{2(a+b-i)} Sq^{2i}: the other terms of the relation, and the motivic
+    rho/tau corrections, pass through odd squares, which vanish here."""
+    for i in range(a // p + 1):
+        if p == 2:
+            c = math.comb(2 * b - 2 * i - 1, 2 * a - 4 * i)
+        else:
+            c = (-1) ** (a + i) * math.comb((p - 1) * (b - i) - 1, a - p * i)
+        yield c, a + b - i, i
+
+
+@pytest.mark.parametrize("profile", [PLAIN, FieldProfile(minus_one_is_square=True)],
+                         ids=["plain", "-1 a square"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestAdemRelations:
+    def test_every_twisted_monomial(self, p, profile):
+        # every monomial times {-1}^k, k <= 1, of W(n <= 5, m), 1 <= a, b <= 4
+        pairs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a < p * b]
+        for n in range(1, 6):
+            for m in range(n + 1):
+                pres = StiefelPresentation(n, m, CoeffRing(p), profile)
+                for mono in all_monomials(pres):
+                    for k in range(2):
+                        x = pres.monomial(mono, MCoefficient.minus_one(pres.ring, profile, k))
+                        px = [apply_operation(reduced_power(i, p), x) for i in range(5)]
+                        for a, b in pairs:
+                            lhs = apply_operation(reduced_power(a, p), px[b])
+                            rhs = pres.zero()
+                            for c, outer, inner in adem_terms(a, b, p):
+                                rhs = rhs + apply_operation(reduced_power(outer, p), px[inner]) * c
+                            assert lhs == rhs, (p, a, b, pres, mono, k)
+
+
 class TestKernelCost:
     def test_huge_index_needs_no_loop_over_it(self, monkeypatch):
         calls = []
