@@ -1,9 +1,15 @@
 """Deterministic property suites.
 
 These replay the algebraic laws and the closed-form identities of the
-computed rings on seeded pseudo-random or exhaustive inputs.  The CLI
-`check` command runs them; the acceptance tests call them directly.  Every
-suite is a pure function of its seed.
+computed rings on seeded pseudo-random or exhaustive inputs, and the CLI
+`check` command runs them.  A suite body only makes checks; its decorator
+registers it under its name in `SUITES`, in definition order (the order of
+`check --suite all`), and builds its `SuiteResult` and its
+`random.Random(seed)`.  `@suite` bodies take (result, rng), walk their
+inputs exhaustively and may return early once the result is saturated;
+`@sampled_suite` bodies take (result, rng, trial) and run for _TRIALS
+trials, stopping after any trial once the failures saturate.  Every suite
+is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .targets import (PGmPresentation, is_reduced, pgm_key_bidegree, reduced_par
                       total_square_oracle)
 
 _FAILURE_CAP = 20
+_TRIALS = 1000
 
 
 @dataclass
@@ -47,8 +54,38 @@ class SuiteResult:
         return len(self.failures) >= _FAILURE_CAP
 
 
+SUITES: dict[str, Callable[[int], SuiteResult]] = {}
+
+
+def suite(name: str):
+    """Register body(result, rng) as the suite `name`."""
+    def register(body) -> Callable[[int], SuiteResult]:
+        def run(seed: int = 0) -> SuiteResult:
+            result = SuiteResult(name)
+            body(result, random.Random(seed))
+            return result
+        SUITES[name] = run
+        return run
+    return register
+
+
+def sampled_suite(name: str):
+    """Register body(result, rng, trial), run for _TRIALS trials, as the
+    suite `name`."""
+    def register(body) -> Callable[[int], SuiteResult]:
+        def trials(result: SuiteResult, rng: random.Random) -> None:
+            for trial in range(_TRIALS):
+                body(result, rng, trial)
+                if result.saturated():
+                    return
+        return suite(name)(trials)
+    return register
+
+
 _Z = CoeffRing()
 _PLAIN = FieldProfile()
+_LAW_RINGS = (_Z, CoeffRing(2), CoeffRing(3), CoeffRing(4))
+_JSON_RINGS = _LAW_RINGS + (CoeffRing(6),)
 
 
 def _random_mcoeff(rng: random.Random, ring: CoeffRing,
@@ -60,9 +97,9 @@ def _random_mcoeff(rng: random.Random, ring: CoeffRing,
     return MCoefficient(ring, profile, tuple(terms))
 
 
-def suite_binomials(seed: int = 0) -> SuiteResult:
+@suite("binomials")
+def suite_binomials(result: SuiteResult, rng: random.Random) -> None:
     """Lucas-based binom_mod against exact big-integer factorial arithmetic."""
-    result = SuiteResult("binomials")
     for p in (2, 3, 5, 7):
         for a in range(201):
             for b in range(201):
@@ -70,32 +107,25 @@ def suite_binomials(seed: int = 0) -> SuiteResult:
                 result.check(binom_mod(a, b, p) == expected,
                              f"binom_mod({a},{b},{p}) != {expected}")
             if result.saturated():
-                return result
-    return result
+                return
 
 
-def suite_coefficient_laws(seed: int = 0) -> SuiteResult:
+@sampled_suite("coefficient-laws")
+def suite_coefficient_laws(result: SuiteResult, rng: random.Random, trial: int) -> None:
     """Associativity, commutativity and distributivity of the base
     coefficients, plus 2-torsion of every positive {-1}-power."""
-    result = SuiteResult("coefficient-laws")
-    rng = random.Random(seed)
-    rings = [CoeffRing(), CoeffRing(2), CoeffRing(3), CoeffRing(4)]
-    for _ in range(1000):
-        ring = rng.choice(rings)
-        profile = FieldProfile(minus_one_is_square=rng.random() < 0.2)
-        x = _random_mcoeff(rng, ring, profile)
-        y = _random_mcoeff(rng, ring, profile)
-        z = _random_mcoeff(rng, ring, profile)
-        result.check((x * y) * z == x * (y * z), f"mul not associative: {x} {y} {z}")
-        result.check(x * y == y * x, f"mul not commutative: {x} {y}")
-        result.check(x * (y + z) == x * y + x * z, f"no distributivity: {x} {y} {z}")
-        doubled = x + x
-        result.check(doubled.powers() in ((), (0,)) and
-                     doubled.coefficient(0) == ring.reduce(2 * x.coefficient(0)),
-                     f"x + x kept torsion terms: {x} -> {doubled}")
-        if result.saturated():
-            break
-    return result
+    ring = rng.choice(_LAW_RINGS)
+    profile = FieldProfile(minus_one_is_square=rng.random() < 0.2)
+    x = _random_mcoeff(rng, ring, profile)
+    y = _random_mcoeff(rng, ring, profile)
+    z = _random_mcoeff(rng, ring, profile)
+    result.check((x * y) * z == x * (y * z), f"mul not associative: {x} {y} {z}")
+    result.check(x * y == y * x, f"mul not commutative: {x} {y}")
+    result.check(x * (y + z) == x * y + x * z, f"no distributivity: {x} {y} {z}")
+    doubled = x + x
+    result.check(doubled.powers() in ((), (0,)) and
+                 doubled.coefficient(0) == ring.reduce(2 * x.coefficient(0)),
+                 f"x + x kept torsion terms: {x} -> {doubled}")
 
 
 def _random_pres(rng: random.Random, ring: CoeffRing, max_n: int = 6) -> StiefelPresentation:
@@ -110,52 +140,37 @@ def _random_homogeneous(rng: random.Random, pres: StiefelPresentation) -> Elemen
     return random_element(pres, bd, seed=rng.randrange(1 << 30))
 
 
-def suite_commutativity(seed: int = 0) -> SuiteResult:
+@sampled_suite("commutativity")
+def suite_commutativity(result: SuiteResult, rng: random.Random, trial: int) -> None:
     """Graded commutativity x y = (-1)^{deg x deg y} y x on homogeneous pairs."""
-    result = SuiteResult("commutativity")
-    rng = random.Random(seed)
-    for _ in range(1000):
-        pres = _random_pres(rng, _Z)
-        x = _random_homogeneous(rng, pres)
-        y = _random_homogeneous(rng, pres)
-        degs = [bd.p for bd in x.bidegrees()] or [0]
-        degs_y = [bd.p for bd in y.bidegrees()] or [0]
-        sign = -1 if degs[0] % 2 and degs_y[0] % 2 else 1
-        result.check(x * y == (y * x) * sign,
-                     f"graded commutativity failed in W({pres.n},{pres.m})")
-        if result.saturated():
-            break
-    return result
+    pres = _random_pres(rng, _Z)
+    x = _random_homogeneous(rng, pres)
+    y = _random_homogeneous(rng, pres)
+    degs = [bd.p for bd in x.bidegrees()] or [0]
+    degs_y = [bd.p for bd in y.bidegrees()] or [0]
+    sign = -1 if degs[0] % 2 and degs_y[0] % 2 else 1
+    result.check(x * y == (y * x) * sign,
+                 f"graded commutativity failed in W({pres.n},{pres.m})")
 
 
-def suite_associativity(seed: int = 0) -> SuiteResult:
-    result = SuiteResult("associativity")
-    rng = random.Random(seed)
-    for _ in range(1000):
-        pres = _random_pres(rng, rng.choice([_Z, CoeffRing(2), CoeffRing(4)]))
-        x = random_element(pres, None, seed=rng.randrange(1 << 30))
-        y = random_element(pres, None, seed=rng.randrange(1 << 30))
-        z = random_element(pres, None, seed=rng.randrange(1 << 30))
-        result.check((x * y) * z == x * (y * z),
-                     f"associativity failed in W({pres.n},{pres.m})")
-        if result.saturated():
-            break
-    return result
+@sampled_suite("associativity")
+def suite_associativity(result: SuiteResult, rng: random.Random, trial: int) -> None:
+    pres = _random_pres(rng, rng.choice((_Z, CoeffRing(2), CoeffRing(4))))
+    x = random_element(pres, None, seed=rng.randrange(1 << 30))
+    y = random_element(pres, None, seed=rng.randrange(1 << 30))
+    z = random_element(pres, None, seed=rng.randrange(1 << 30))
+    result.check((x * y) * z == x * (y * z),
+                 f"associativity failed in W({pres.n},{pres.m})")
 
 
-def suite_distributivity(seed: int = 0) -> SuiteResult:
-    result = SuiteResult("distributivity")
-    rng = random.Random(seed)
-    for _ in range(1000):
-        pres = _random_pres(rng, rng.choice([_Z, CoeffRing(3)]))
-        x = random_element(pres, None, seed=rng.randrange(1 << 30))
-        y = random_element(pres, None, seed=rng.randrange(1 << 30))
-        z = random_element(pres, None, seed=rng.randrange(1 << 30))
-        result.check(x * (y + z) == x * y + x * z and (y + z) * x == y * x + z * x,
-                     f"distributivity failed in W({pres.n},{pres.m})")
-        if result.saturated():
-            break
-    return result
+@sampled_suite("distributivity")
+def suite_distributivity(result: SuiteResult, rng: random.Random, trial: int) -> None:
+    pres = _random_pres(rng, rng.choice((_Z, CoeffRing(3))))
+    x = random_element(pres, None, seed=rng.randrange(1 << 30))
+    y = random_element(pres, None, seed=rng.randrange(1 << 30))
+    z = random_element(pres, None, seed=rng.randrange(1 << 30))
+    result.check(x * (y + z) == x * y + x * z and (y + z) * x == y * x + z * x,
+                 f"distributivity failed in W({pres.n},{pres.m})")
 
 
 def rewrite_outcomes(pres: StiefelPresentation, word: tuple[int, ...]) -> set[Element]:
@@ -199,9 +214,9 @@ def rewrite_outcomes(pres: StiefelPresentation, word: tuple[int, ...]) -> set[El
     return explore((tuple(word), 1, 0))
 
 
-def suite_confluence(seed: int = 0) -> SuiteResult:
+@suite("confluence")
+def suite_confluence(result: SuiteResult, rng: random.Random) -> None:
     """Rewrite-order independence for all generator words of length <= 4."""
-    result = SuiteResult("confluence")
     for n in range(1, 7):
         pres = StiefelPresentation(n, n, _Z, _PLAIN)
         words: list[tuple[int, ...]] = [()]
@@ -215,14 +230,13 @@ def suite_confluence(seed: int = 0) -> SuiteResult:
                 result.check(len(outcomes) == 1 and next(iter(outcomes)) == product,
                              f"rewrite order changed the normal form of {word} in GL({n})")
                 if result.saturated():
-                    return result
-    return result
+                    return
 
 
-def suite_squares(seed: int = 0) -> SuiteResult:
+@suite("squares")
+def suite_squares(result: SuiteResult, rng: random.Random) -> None:
     """rho_i^2 = {-1} rho_{2i-1} or 0 in every W(n, m), n <= 8, over Z and
     Z/2; all squares vanish when -1 is a square; 2 rho_i^2 = 0 over Z."""
-    result = SuiteResult("squares")
     square_profile = FieldProfile(minus_one_is_square=True)
     for n in range(1, 9):
         for m in range(0, n + 1):
@@ -243,13 +257,12 @@ def suite_squares(seed: int = 0) -> SuiteResult:
             for i in pres_sq.generators:
                 result.check(not (pres_sq.gen(i) * pres_sq.gen(i)),
                              f"rho_{i}^2 != 0 in W({n},{m}) with -1 a square")
-    return result
 
 
-def suite_rank(seed: int = 0) -> SuiteResult:
+@suite("rank")
+def suite_rank(result: SuiteResult, rng: random.Random) -> None:
     """M-module rank 2^n for GL(n), n <= 12; the Poincare polynomial matches
     the bidegree histogram of the monomial basis for n <= 8."""
-    result = SuiteResult("rank")
     for n in range(1, 13):
         pres = StiefelPresentation(n, n, _Z, _PLAIN)
         series = poincare_polynomial(pres)
@@ -262,12 +275,11 @@ def suite_rank(seed: int = 0) -> SuiteResult:
             histogram = Counter(monomial_bidegree(w) for w in all_monomials(pres))
             result.check(dict(histogram) == poincare_polynomial(pres),
                          f"series mismatch for W({n},{m})")
-    return result
 
 
-def suite_cartan_oracle(seed: int = 0) -> SuiteResult:
+@suite("cartan-oracle")
+def suite_cartan_oracle(result: SuiteResult, rng: random.Random) -> None:
     """sq_projective against the (eta + eta^2)^j repeated-multiplication oracle."""
-    result = SuiteResult("cartan-oracle")
     for n in range(1, 26):
         pres = PGmPresentation(n, CoeffRing(2), _PLAIN)
         for j in range(13):
@@ -281,14 +293,13 @@ def suite_cartan_oracle(seed: int = 0) -> SuiteResult:
                 result.check(got == expected,
                              f"Sq^{2 * i}(eta^{j}) disagrees with the oracle at n={n}")
                 if result.saturated():
-                    return result
-    return result
+                    return
 
 
-def suite_operation_table(seed: int = 0) -> SuiteResult:
+@suite("operation-table")
+def suite_operation_table(result: SuiteResult, rng: random.Random) -> None:
     """Generator tables for Sq^{2i} (p=2) and P^i (p=3,5) for j <= n <= 10,
     i <= 10, with coefficients from exact factorial binomials."""
-    result = SuiteResult("operation-table")
     for p in (2, 3, 5):
         ring = CoeffRing(p)
         for n in range(1, 11):
@@ -316,7 +327,7 @@ def suite_operation_table(seed: int = 0) -> SuiteResult:
                     result.check(not odd,
                                  f"odd operation failed to vanish on rho_{j} at p={p}")
                     if result.saturated():
-                        return result
+                        return
                 if p == 2:
                     # instability: the top square Sq^{2j} kills rho_j, matching
                     # the vanishing of the k = 0 part of rho_j^2 = {-1} rho_{2j-1}
@@ -325,14 +336,13 @@ def suite_operation_table(seed: int = 0) -> SuiteResult:
                     zero_part = any(c.coefficient(0) for _, c in honest.terms)
                     result.check(not top and not zero_part,
                                  f"instability failed on rho_{j} in GL({n})")
-    return result
 
 
-def suite_comparison(seed: int = 0) -> SuiteResult:
+@suite("comparison")
+def suite_comparison(result: SuiteResult, rng: random.Random) -> None:
     """The comparison map sends rho_j to sigma eta^{j-1}; in bidegree
     (2j-1, j) both sides are rank one over M and correspond; squares are
     respected everywhere."""
-    result = SuiteResult("comparison")
     for ring in (_Z, CoeffRing(2)):
         for n in range(1, 11):
             f = comparison_map(n, ring, _PLAIN)
@@ -354,12 +364,11 @@ def suite_comparison(seed: int = 0) -> SuiteResult:
                 tgt_free = [line for line in target.lines(bd) if line[1] == 0]
                 result.check(tgt_free == [((1, j - 1), 0)],
                              f"target piece {bd} is not spanned by sigma eta^{j - 1}")
-    return result
 
 
-def suite_naturality(seed: int = 0) -> SuiteResult:
+@suite("naturality")
+def suite_naturality(result: SuiteResult, rng: random.Random) -> None:
     """f_n* Sq^{2i} = Sq^{2i} f_n* on every generator, n <= 8, i <= 8."""
-    result = SuiteResult("naturality")
     ring = CoeffRing(2)
     for n in range(1, 9):
         f = comparison_map(n, ring, _PLAIN)
@@ -370,7 +379,6 @@ def suite_naturality(seed: int = 0) -> SuiteResult:
                 rhs = apply_operation(op, apply_map(f, f.source.gen(j)))
                 result.check(lhs == rhs,
                              f"naturality failed for Sq^{2 * i} on rho_{j} in GL({n})")
-    return result
 
 
 def _bidegrees_up_to(pres: StiefelPresentation, max_degree: int) -> list[Bidegree]:
@@ -383,12 +391,11 @@ def _bidegrees_up_to(pres: StiefelPresentation, max_degree: int) -> list[Bidegre
     return sorted(out)
 
 
-def suite_induced_maps(seed: int = 0) -> SuiteResult:
+@suite("induced-maps")
+def suite_induced_maps(result: SuiteResult, rng: random.Random) -> None:
     """Kernel of the immersion pullback equals the ideal (rho_n) piece by
     piece up to total degree 20; the projection pullback is injective on
     basis monomials; symmetry pullbacks are identities."""
-    result = SuiteResult("induced-maps")
-    rng = random.Random(seed)
     for ring, max_n in ((CoeffRing(2), 8), (_Z, 8)):
         for n in range(2, max_n + 1):
             f = immersion_pullback(n, n, ring, _PLAIN)
@@ -407,7 +414,7 @@ def suite_induced_maps(seed: int = 0) -> SuiteResult:
                     result.check(in_ideal and not apply_map(f, element),
                                  f"kernel generator escaped the ideal (rho_{n}) at {bd}")
                 if result.saturated():
-                    return result
+                    return
     for n in range(1, 9):
         for m_small in range(0, n + 1):
             for m_big in range(m_small, n + 1):
@@ -432,110 +439,73 @@ def suite_induced_maps(seed: int = 0) -> SuiteResult:
                 x = random_element(f.source, None, seed=rng.randrange(1 << 30))
                 result.check(apply_map(f, x) == x,
                              f"symmetry pullback '{f.label}' moved an element of W({n},{m})")
-    return result
 
 
-def suite_pgm_laws(seed: int = 0) -> SuiteResult:
+@sampled_suite("pgm-laws")
+def suite_pgm_laws(result: SuiteResult, rng: random.Random, trial: int) -> None:
     """Ring laws of the Tate target, the suspension product rule, and the
     ideal property of the reduced part."""
-    result = SuiteResult("pgm-laws")
-    rng = random.Random(seed)
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        pres = PGmPresentation(n, _Z, _PLAIN)
-        x = random_element(pres, None, seed=rng.randrange(1 << 30))
-        y = random_element(pres, None, seed=rng.randrange(1 << 30))
-        z = random_element(pres, None, seed=rng.randrange(1 << 30))
-        result.check((x * y) * z == x * (y * z), f"PGm associativity failed at n={n}")
-        key = (rng.randint(0, 1), rng.randrange(n))
-        k = rng.randint(0, 2)
-        bd = pgm_key_bidegree(key) + (k, k)
-        xh = random_element(pres, bd, seed=rng.randrange(1 << 30))
-        yh = random_element(pres, bd, seed=rng.randrange(1 << 30))
-        sign = -1 if bd.p % 2 else 1
-        result.check(xh * yh == (yh * xh) * sign, f"PGm graded commutativity at n={n}")
-        # suspension rule (sigma x)(sigma y) = {-1} sigma (x y) on eta-polynomials
-        ex = sum((pres.eta(e) * rng.randint(-3, 3) for e in range(n)), pres.zero())
-        ey = sum((pres.eta(e) * rng.randint(-3, 3) for e in range(n)), pres.zero())
-        lhs = (pres.sigma() * ex) * (pres.sigma() * ey)
-        rhs = pres.minus_one() * pres.sigma() * (ex * ey)
-        result.check(lhs == rhs, f"Tate product rule failed at n={n}")
-        reduced = reduced_part(y)
-        result.check(is_reduced(x * reduced),
-                     f"the reduced part is not an ideal at n={n}")
-        if result.saturated():
-            break
-    return result
+    n = rng.randint(1, 8)
+    pres = PGmPresentation(n, _Z, _PLAIN)
+    x = random_element(pres, None, seed=rng.randrange(1 << 30))
+    y = random_element(pres, None, seed=rng.randrange(1 << 30))
+    z = random_element(pres, None, seed=rng.randrange(1 << 30))
+    result.check((x * y) * z == x * (y * z), f"PGm associativity failed at n={n}")
+    key = (rng.randint(0, 1), rng.randrange(n))
+    k = rng.randint(0, 2)
+    bd = pgm_key_bidegree(key) + (k, k)
+    xh = random_element(pres, bd, seed=rng.randrange(1 << 30))
+    yh = random_element(pres, bd, seed=rng.randrange(1 << 30))
+    sign = -1 if bd.p % 2 else 1
+    result.check(xh * yh == (yh * xh) * sign, f"PGm graded commutativity at n={n}")
+    # suspension rule (sigma x)(sigma y) = {-1} sigma (x y) on eta-polynomials
+    ex = sum((pres.eta(e) * rng.randint(-3, 3) for e in range(n)), pres.zero())
+    ey = sum((pres.eta(e) * rng.randint(-3, 3) for e in range(n)), pres.zero())
+    lhs = (pres.sigma() * ex) * (pres.sigma() * ey)
+    rhs = pres.minus_one() * pres.sigma() * (ex * ey)
+    result.check(lhs == rhs, f"Tate product rule failed at n={n}")
+    reduced = reduced_part(y)
+    result.check(is_reduced(x * reduced),
+                 f"the reduced part is not an ideal at n={n}")
 
 
-def suite_additivity(seed: int = 0) -> SuiteResult:
+@sampled_suite("additivity")
+def suite_additivity(result: SuiteResult, rng: random.Random, trial: int) -> None:
     """Operations are additive, and shift bidegrees by their advertised amount."""
-    result = SuiteResult("additivity")
-    rng = random.Random(seed)
-    for _ in range(1000):
-        p = rng.choice((2, 3, 5))
-        ring = CoeffRing(p)
-        n = rng.randint(1, 6)
-        pres = StiefelPresentation(n, rng.randint(0, n), ring, _PLAIN)
-        if p == 2:
-            op = square(rng.randint(0, 10))
-        else:
-            op = power(rng.randint(0, 4), p) if rng.random() < 0.8 else operations.bockstein(p)
-        x = random_element(pres, None, seed=rng.randrange(1 << 30))
-        y = random_element(pres, None, seed=rng.randrange(1 << 30))
-        result.check(apply_operation(op, x + y) == apply_operation(op, x) + apply_operation(op, y),
-                     f"{op.describe()} is not additive on W({pres.n},{pres.m})")
-        xh = _random_homogeneous(rng, pres)
-        out = apply_operation(op, xh)
-        allowed = {bd + op.bidegree_shift for bd in xh.bidegrees()}
-        result.check(out.bidegrees() <= allowed,
-                     f"{op.describe()} shifted bidegrees wrongly on W({pres.n},{pres.m})")
-        if result.saturated():
-            break
-    return result
+    p = rng.choice((2, 3, 5))
+    ring = CoeffRing(p)
+    n = rng.randint(1, 6)
+    pres = StiefelPresentation(n, rng.randint(0, n), ring, _PLAIN)
+    if p == 2:
+        op = square(rng.randint(0, 10))
+    else:
+        op = power(rng.randint(0, 4), p) if rng.random() < 0.8 else operations.bockstein(p)
+    x = random_element(pres, None, seed=rng.randrange(1 << 30))
+    y = random_element(pres, None, seed=rng.randrange(1 << 30))
+    result.check(apply_operation(op, x + y) == apply_operation(op, x) + apply_operation(op, y),
+                 f"{op.describe()} is not additive on W({pres.n},{pres.m})")
+    xh = _random_homogeneous(rng, pres)
+    out = apply_operation(op, xh)
+    allowed = {bd + op.bidegree_shift for bd in xh.bidegrees()}
+    result.check(out.bidegrees() <= allowed,
+                 f"{op.describe()} shifted bidegrees wrongly on W({pres.n},{pres.m})")
 
 
-def suite_json_roundtrip(seed: int = 0) -> SuiteResult:
+@sampled_suite("json-roundtrip")
+def suite_json_roundtrip(result: SuiteResult, rng: random.Random, trial: int) -> None:
     """parse(render(x)) = x, bit for bit, on random elements."""
-    result = SuiteResult("json-roundtrip")
-    rng = random.Random(seed)
-    rings = [CoeffRing(), CoeffRing(2), CoeffRing(3), CoeffRing(4), CoeffRing(6)]
-    for trial in range(1000):
-        ring = rng.choice(rings)
-        profile = FieldProfile(minus_one_is_square=rng.random() < 0.2)
-        n = rng.randint(1, 6)
-        if trial % 5 == 0:
-            pres = PGmPresentation(n, ring, profile)
-        else:
-            pres = StiefelPresentation(n, rng.randint(0, n), ring, profile)
-        x = random_element(pres, None, seed=rng.randrange(1 << 30))
-        text = serialize.element_to_json(x)
-        back = serialize.element_from_json(text, type(pres))
-        result.check(back == x and serialize.element_to_json(back) == text,
-                     f"JSON round-trip failed for {text}")
-        if result.saturated():
-            break
-    return result
-
-
-SUITES: dict[str, Callable[[int], SuiteResult]] = {
-    "binomials": suite_binomials,
-    "coefficient-laws": suite_coefficient_laws,
-    "commutativity": suite_commutativity,
-    "associativity": suite_associativity,
-    "distributivity": suite_distributivity,
-    "confluence": suite_confluence,
-    "squares": suite_squares,
-    "rank": suite_rank,
-    "cartan-oracle": suite_cartan_oracle,
-    "operation-table": suite_operation_table,
-    "comparison": suite_comparison,
-    "naturality": suite_naturality,
-    "induced-maps": suite_induced_maps,
-    "pgm-laws": suite_pgm_laws,
-    "additivity": suite_additivity,
-    "json-roundtrip": suite_json_roundtrip,
-}
+    ring = rng.choice(_JSON_RINGS)
+    profile = FieldProfile(minus_one_is_square=rng.random() < 0.2)
+    n = rng.randint(1, 6)
+    if trial % 5 == 0:
+        pres = PGmPresentation(n, ring, profile)
+    else:
+        pres = StiefelPresentation(n, rng.randint(0, n), ring, profile)
+    x = random_element(pres, None, seed=rng.randrange(1 << 30))
+    text = serialize.element_to_json(x)
+    back = serialize.element_from_json(text, type(pres))
+    result.check(back == x and serialize.element_to_json(back) == text,
+                 f"JSON round-trip failed for {text}")
 
 
 def suite_names() -> list[str]:
