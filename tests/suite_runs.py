@@ -3,9 +3,9 @@
 `suite_run(name, seed)` calls `suites.run_suite` once per (name, seed) and
 keeps the result, its wall time, and a sha256 of its case log: the
 (ok, message) of every `SuiteResult.check` call, in order.  The acceptance
-criteria assert on these runs, and the golden `check` group and the CLI
-`check` tests feed them to the CLI through `shared_result`, so a tier-1
-session runs each suite once per seed.
+criteria assert on these runs, and the golden `check` group and two CLI
+`check` tests feed them to the CLI by patching `suites.run_suite` with
+`shared_result`, so a tier-1 session runs each suite once per seed.
 """
 
 from __future__ import annotations
