@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 usage error, 3 math-context error (also a basis
 piece of more than MAX_BASIS_LINES lines), 4 property failure.  The
 environment variable STIEFEL_SEED overrides --seed.
+
+Start-up is most of a short call, so `operations`, `maps` and `suites` are
+imported inside the commands that run them, not here.
 """
 
 from __future__ import annotations
@@ -12,18 +15,16 @@ import json
 import os
 import re
 import sys
+import time
 
 import click
 
-from . import serialize, suites
+from . import serialize
 from .algebra import (Element, StiefelPresentation, basis_in_bidegree, has_torsion_lines,
                       poincare_polynomial)
 from .coefficients import FieldProfile
 from .errors import (ContextMismatch, ElementParseError, InvalidPresentation,
                      StiefelError)
-from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
-                   projection_pullback, symmetry_pullback)
-from .operations import apply_operation, bockstein, power, square
 from .render import (basis_report, element_text, presentation_dict,
                      presentation_latex, presentation_text, series_entries,
                      series_text)
@@ -141,6 +142,8 @@ def mul(x, y, n, m, coeff, minus_one, characteristic, fmt):
 @guarded
 def sq(index, x, n, m, coeff, minus_one, characteristic, fmt):
     """Apply the motivic Steenrod square Sq^i (odd i gives zero)."""
+    from .operations import apply_operation, square
+
     pres = build_presentation(n, m, coeff, minus_one, characteristic)
     try:
         op = square(index)
@@ -159,6 +162,8 @@ def sq(index, x, n, m, coeff, minus_one, characteristic, fmt):
 @guarded
 def power_cmd(index, prime, use_bockstein, x, n, m, coeff, minus_one, characteristic, fmt):
     """Apply the reduced power P^i (or the Bockstein) at an odd prime."""
+    from .operations import apply_operation, bockstein, power
+
     pres = build_presentation(n, m, coeff, minus_one, characteristic)
     try:
         op = bockstein(prime) if use_bockstein else power(index, prime)
@@ -221,6 +226,9 @@ def series(n, m, coeff, minus_one, characteristic, fmt):
 @guarded
 def map_cmd(label, x, m_big, sigma_text, n, m, coeff, minus_one, characteristic, fmt):
     """Apply one of the induced ring maps to an element of its source."""
+    from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
+                       projection_pullback, symmetry_pullback)
+
     pres = build_presentation(n, m, coeff, minus_one, characteristic)
     ring, profile = pres.ring, pres.profile
     if label == "proj":
@@ -252,9 +260,14 @@ def map_cmd(label, x, m_big, sigma_text, n, m, coeff, minus_one, characteristic,
               help='Suite name or "all".')
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for the randomized suites (STIEFEL_SEED overrides).")
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
+              show_default=True,
+              help="Output format; json gives one {name, cases, seconds, failures} per suite.")
 @guarded
-def check(suite, seed):
+def check(suite, seed, fmt):
     """Run the property suites and report pass/fail per suite."""
+    from . import suites
+
     env = os.environ.get("STIEFEL_SEED")
     if env is not None:
         try:
@@ -262,20 +275,26 @@ def check(suite, seed):
         except ValueError:
             raise click.UsageError(f"STIEFEL_SEED must be an integer, got {env!r}")
     names = suites.suite_names() if suite == "all" else [suite]
+    results, seconds = [], []
     try:
-        results = [suites.run_suite(name, seed) for name in names]
+        for name in names:
+            start = time.perf_counter()
+            results.append(suites.run_suite(name, seed))
+            seconds.append(time.perf_counter() - start)
     except KeyError as exc:
         raise click.UsageError(str(exc.args[0]))
-    failed = False
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        line = f"{status} {result.name} ({result.cases} cases)"
-        if not result.passed:
-            line += f": {result.failures[0]}"
-            failed = True
-        click.echo(line)
-    click.echo(f"{sum(r.passed for r in results)}/{len(results)} suites passed, seed={seed}")
-    if failed:
+    if fmt == "json":
+        click.echo(json.dumps([{"name": r.name, "cases": r.cases, "seconds": s,
+                                "failures": r.failures} for r, s in zip(results, seconds)]))
+    else:
+        for result in results:
+            status = "PASS" if result.passed else "FAIL"
+            line = f"{status} {result.name} ({result.cases} cases)"
+            if not result.passed:
+                line += f": {result.failures[0]}"
+            click.echo(line)
+        click.echo(f"{sum(r.passed for r in results)}/{len(results)} suites passed, seed={seed}")
+    if not all(r.passed for r in results):
         sys.exit(PROPERTY_FAILURE)
 
 

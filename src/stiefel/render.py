@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .algebra import Element, StiefelPresentation, poincare_polynomial
 from .coefficients import Bidegree
-from .targets import PGmPresentation
 
 
 def _power(base: str, k: int, latex: bool) -> str:
@@ -62,7 +61,7 @@ def _pgm_mono(key, latex: bool) -> str:
 def element_text(x: Element, latex: bool = False) -> str:
     if not x.terms:
         return "0"
-    key_text = _pgm_mono if isinstance(x.pres, PGmPresentation) else _stiefel_mono
+    key_text = _stiefel_mono if isinstance(x.pres, StiefelPresentation) else _pgm_mono
     return " + ".join(_term_text(key_text(key, latex), c.terms, latex) for key, c in x.terms)
 
 

@@ -1,16 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stiefel
 from stiefel import suites
 from stiefel.algebra import basis_element, basis_in_bidegree
 from stiefel.cli import _piece_size, build_presentation, main
 from stiefel.render import basis_report, element_text
 from stiefel.serialize import element_from_json
 
-from suite_runs import shared_result
+from suite_runs import shared_result, suite_run
 
 
 def run(*args, env=None):
@@ -316,3 +321,67 @@ class TestCheck:
         one = run("check", "--suite", "json-roundtrip", "--seed", "5")
         two = run("check", "--suite", "json-roundtrip", "--seed", "5")
         assert one.output == two.output
+
+    def test_json_format(self, monkeypatch):
+        monkeypatch.setattr(suites, "run_suite", shared_result)
+        result = run("check", "--format", "json")
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert [entry["name"] for entry in data] == suites.suite_names()
+        for entry in data:
+            shared = suite_run(entry["name"], 0).result
+            assert set(entry) == {"name", "cases", "seconds", "failures"}
+            assert (entry["cases"], entry["failures"]) == (shared.cases, shared.failures)
+            assert entry["seconds"] >= 0
+        text = run("check")
+        assert text.output.splitlines() == [
+            f"PASS {e['name']} ({e['cases']} cases)" for e in data
+        ] + [f"{len(data)}/{len(data)} suites passed, seed=0"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failure_exits_4(self, monkeypatch, fmt):
+        monkeypatch.setattr(suites, "run_suite",
+                            lambda name, seed: suites.SuiteResult(name, 3, ["planted"]))
+        result = run("check", "--suite", "rank", "--format", fmt)
+        assert result.exit_code == 4
+        if fmt == "json":
+            [entry] = json.loads(result.output)
+            assert (entry["name"], entry["cases"], entry["failures"]) == ("rank", 3, ["planted"])
+        else:
+            assert result.output.splitlines()[0] == "FAIL rank (3 cases): planted"
+
+
+# the modules each command loads, run in a fresh interpreter
+_LEAN = {"stiefel.errors", "stiefel.coefficients", "stiefel.algebra", "stiefel.serialize",
+         "stiefel.render", "stiefel.cli"}
+_OPERATIONS = _LEAN | {"stiefel.operations"}
+_MAPS = _OPERATIONS | {"stiefel.maps", "stiefel.linalg", "stiefel.targets"}
+FOOTPRINTS = [
+    (["present", "-n", "3"], _LEAN),
+    (["mul", "r1", "r2", "-n", "3"], _LEAN),
+    (["basis", "-p", "4", "-q", "3", "-n", "2"], _LEAN),
+    (["series", "-n", "3"], _LEAN),
+    (["--help"], _LEAN),
+    (["sq", "-i", "2", "r2", "-n", "3"], _OPERATIONS),
+    (["power", "-i", "1", "-p", "3", "r2", "-n", "4", "--coeff", "Z/3"], _OPERATIONS),
+    (["map", "cmp", "r3", "-n", "3"], _MAPS),
+    (["check", "--suite", "rank"], _MAPS | {"stiefel.suites"}),
+]
+
+
+@pytest.mark.parametrize("args, expected", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
+def test_import_footprint(args, expected):
+    code = ("import json, sys\n"
+            "import stiefel.cli\n"
+            f"stiefel.cli.main(args={args!r}, standalone_mode=False)\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.startswith('stiefel.')),\n"
+            "                  'fractions' in sys.modules]))\n")
+    src = str(Path(stiefel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded, fractions = json.loads(proc.stdout.splitlines()[-1])
+    assert set(loaded) == expected
+    if expected == _LEAN:
+        assert not fractions

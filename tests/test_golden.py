@@ -28,12 +28,13 @@ from stiefel.algebra import StiefelPresentation
 from stiefel.cli import main
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
 from stiefel.maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
-                          kernel_basis, projection_pullback, ring_map, symmetry_pullback)
+                          kernel_basis, projection_pullback, symmetry_pullback)
 from stiefel.operations import apply_operation, bockstein, power, square
 from stiefel.render import element_text
 from stiefel.serialize import element_to_json
 from stiefel.targets import PGmElement, PGmPresentation
 
+from random_maps import random_total_maps
 from suite_runs import shared_result, suite_run
 
 RINGS = (CoeffRing(), CoeffRing(2), CoeffRing(3), CoeffRing(4))
@@ -173,30 +174,6 @@ def _total_maps(n, ring, profile):
     yield comparison_map(n, ring, profile)
 
 
-def _random_total_maps():
-    """Total ring_maps whose generator images are whole random graded pieces,
-    so that a generator may go to several terms."""
-    found = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        ring, profile = RINGS[seed % 4], PROFILES[seed % 3 == 0]
-        n = rng.randint(1, 5)
-        source = StiefelPresentation(n, rng.randint(1, n), ring, profile)
-        if seed % 2:
-            target = PGmPresentation(rng.randint(1, 6), ring, profile)
-        else:
-            big = rng.randint(n, 6)
-            target = StiefelPresentation(big, rng.randint(0, big), ring, profile)
-        images = {i: algebra.random_element(target, (2 * i - 1, i), seed=1000 * seed + i)
-                  for i in source.generators}
-        f = ring_map(source, target, images, f"random-{seed}")
-        if not f.generator_level_only and any(len(img.terms) > 1 for img in images.values()):
-            yield f
-            found += 1
-            if found == 12:
-                return
-
-
 def _kernel_lines(f) -> list[str]:
     out = []
     top = sum(f.source.generators)
@@ -214,7 +191,7 @@ def group_kernels() -> list[str]:
     for ring, profile, n in _contexts(5):
         for f in _total_maps(n, ring, profile):
             out += _kernel_lines(f)
-    for f in _random_total_maps():
+    for f in random_total_maps(RINGS):
         out += [f"{f.target}"] + [element_to_json(img) for _, img in f.images]
         out += _kernel_lines(f)
     return out

@@ -383,3 +383,18 @@ class TestModuleKernelAgainstSmithForm:
             for f in maps:
                 for bd in sorted(pieces):
                     _assert_matches_cone(*_piece_map(f, bd))
+
+    @pytest.mark.parametrize("modulus", [0, 2], ids=["Z", "Z/2"])
+    def test_every_piece_of_random_ring_maps(self, modulus):
+        # ring_maps whose generator images have several terms, into Stiefel
+        # and Tate targets, on every piece up to the top weight + 1
+        pytest.importorskip("sympy")
+        from stiefel.coefficients import CoeffRing
+
+        from random_maps import random_total_maps
+
+        for f in random_total_maps((CoeffRing(modulus),), count=None):
+            top = sum(f.source.generators)
+            for q in range(top + 2):
+                for deg in range(q, 2 * q + 1):
+                    _assert_matches_cone(*_piece_map(f, (deg, q)))
