@@ -13,13 +13,15 @@ of elements is structural equality.
 Products encode each monomial as an int bitmask, bit i standing for rho_i.
 Two disjoint monomials multiply as in an exterior algebra, with the sign
 given by the parity of the crossing pairs; overlapping ones are contracted
-by the squaring rule (see _normal_word).
+by the squaring rule (see _normal_word).  Pairs sharing a bit of the codec's
+square-zero mask nil (rho_i with 2i-1 > n) are zero and skipped before _normal_word.
 
 Element is the element type of every computed ring: it reads the keys and
 their product from a Presentation, here StiefelPresentation and, for the
 Tate target, targets.PGmPresentation.  Products, ring maps and the
 Steenrod kernel's input fold multiply {code: {power of {-1}: int}} tables
-in table_product, and Presentation.from_table builds their results.
+in table_product, and Presentation.from_table builds their results,
+reducing each coefficient once with coefficients.reduce_powers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_powers
 from .errors import (ContextMismatch, ElementParseError, InvalidGenerator,
                      InvalidPresentation, json_int)
 
@@ -49,8 +51,9 @@ class Presentation:
     It supplies check_key(key) (the canonical key, or ValueError),
     term_order(term) (the sort key of a (key, coefficient) term of the
     normal form), key_bidegree(key), codec() (encode and decode between
-    keys and ints, and product(n, a, b) giving (code, sign, twist) or None
-    for zero), lines(bd) (the basis lines (key, k) of a graded piece),
+    keys and ints, product(n, a, b) giving (code, sign, twist) or None
+    for zero, and the square-zero mask nil: codes a, b with a & b & nil
+    multiply to zero), lines(bd) (the basis lines (key, k) of a graded piece),
     random_key(rng), the JSON fields json_fields, key_fields,
     key_to_json(key) and key_from_json(entry), and unit_key.  The elements
     and the integer tables (table, from_table) below are the same in every ring.
@@ -62,15 +65,20 @@ class Presentation:
         return {encode(key): dict(c.terms) for key, c in x.terms}
 
     def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
-        """The element of a computed table, one MCoefficient per code.  Codec
-        products of valid keys are valid and distinct, so nothing is checked."""
+        """The element of a computed table.  Codec products of valid keys are
+        valid and distinct and reduce_powers normalizes, so nothing is checked."""
         decode, ring, profile = self.codec()[1], self.ring, self.profile
-        terms = ((decode(code), MCoefficient(ring, profile, tuple(powers.items())))
-                 for code, powers in acc.items())
+        terms = []
+        for code, powers in acc.items():
+            if reduced := reduce_powers(ring, profile, powers):
+                c = object.__new__(MCoefficient)
+                object.__setattr__(c, "ring", ring)
+                object.__setattr__(c, "profile", profile)
+                object.__setattr__(c, "terms", reduced)
+                terms.append((decode(code), c))
         x = object.__new__(Element)
         object.__setattr__(x, "pres", self)
-        object.__setattr__(x, "terms", tuple(sorted((t for t in terms if t[1]),
-                                                    key=self.term_order)))
+        object.__setattr__(x, "terms", tuple(sorted(terms, key=self.term_order)))
         return x
 
     def zero(self) -> "Element":
@@ -161,7 +169,7 @@ class StiefelPresentation(Presentation):
         return len(term[0]), term[0]
 
     def codec(self):
-        return _mask, _monomial, _normal_word
+        return _mask, _monomial, _normal_word, -1 << ((self.n + 1) // 2 + 1)
 
     def lines(self, bd) -> list[tuple[Monomial, int]]:
         return basis_in_bidegree(self, bd)
@@ -228,7 +236,7 @@ class Element:
             return NotImplemented
         self._require_same_ring(other)
         pres = self.pres
-        return pres.from_table(table_product(pres.n, pres.codec()[2], pres.table(self),
+        return pres.from_table(table_product(pres.n, *pres.codec()[2:], pres.table(self),
                                              pres.table(other), {}))
 
     def __rmul__(self, other) -> "Element":
@@ -268,14 +276,17 @@ class Element:
         return Element(self.pres, tuple(picked))
 
 
-def table_product(n: int, product, xs: dict[int, dict[int, int]],
+def table_product(n: int, product, nil: int, xs: dict[int, dict[int, int]],
                   ys: dict[int, dict[int, int]], acc: dict) -> dict:
-    """Add xs * ys into the table acc and return it, product being the
-    codec's key product.  Sums stay unreduced in Z[{-1}]: reduction is a
-    ring homomorphism, so from_table reduces once per key."""
+    """Add xs * ys into the table acc and return it; product and nil are the
+    codec's key product and square-zero mask, and pairs meeting in nil are
+    skipped.  Sums stay unreduced in Z[{-1}] (reduction is a homomorphism)."""
     ys = list(ys.items())
     for a, t1 in xs.items():
+        clash = a & nil
         for b, t2 in ys:
+            if b & clash:
+                continue
             nf = product(n, a, b)
             if nf is None:
                 continue

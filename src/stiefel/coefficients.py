@@ -175,6 +175,19 @@ class MCoefficient:
         return bool(self.terms)
 
 
+def reduce_powers(ring: CoeffRing, profile: FieldProfile,
+                  powers: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """MCoefficient(ring, profile, tuple(powers.items())).terms for {k >= 0: c_k},
+    unchecked: c_0 mod R; c_k mod 2 when R/2R != 0 and -1 is not a square, else 0."""
+    twisted = 1 if profile.minus_one_is_square or ring.modulus % 2 else 2
+    out = []
+    for k, c in sorted(powers.items()):
+        c = c % twisted if k else ring.reduce(c)
+        if c:
+            out.append((k, c))
+    return tuple(out)
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

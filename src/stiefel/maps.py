@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Element, Presentation, StiefelPresentation, table_product
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from .algebra import Element, Presentation, StiefelPresentation, basis_element, table_product
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_powers
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
 from .targets import PGmPresentation
@@ -92,7 +92,7 @@ def _image_tables(f: RingMap, terms: Iterable[tuple[tuple[int, ...], dict[int, i
     """The target table of f on each (monomial, {power of {-1}: int}) term,
     with the generator images tabulated once per call."""
     target = f.target
-    encode, _, product = target.codec()
+    encode, _, product, nil = target.codec()
     n, unit = target.n, encode(target.unit_key)
     images = {i: target.table(img) for i, img in f.images}
     for mono, powers in terms:
@@ -101,7 +101,7 @@ def _image_tables(f: RingMap, terms: Iterable[tuple[tuple[int, ...], dict[int, i
                 f"map '{f.label}' is generator-level only and cannot take products")
         term = {unit: powers}
         for i in mono:
-            term = table_product(n, product, term, images[i], {})
+            term = table_product(n, product, nil, term, images[i], {})
         yield term
 
 
@@ -206,14 +206,17 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     if not src_lines:
         return []
     tgt_lines = f.target.lines(bd)
+    if not tgt_lines:
+        # the map is zero on the piece, so every source line is in the kernel
+        return [basis_element(f.source, key, k) for key, k in src_lines]
     ring, profile = f.target.ring, f.target.profile
     encode, decode = f.target.codec()[:2]
     index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
     rows: list[dict[int, int]] = [{} for _ in tgt_lines]
     for col, table in enumerate(_image_tables(f, ((mono, {k: 1}) for mono, k in src_lines))):
         for code, powers in table.items():
-            # reduced by the normal form of apply_map
-            for k, value in MCoefficient(ring, profile, tuple(powers.items())).terms:
+            # reduced as apply_map's from_table reduces
+            for k, value in reduce_powers(ring, profile, powers):
                 if (code, k) not in index:
                     raise AssertionError(
                         f"image term {(decode(code), k)} missed the graded piece {bd}")

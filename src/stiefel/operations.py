@@ -25,7 +25,8 @@ integer}}, multiplies by one generator value per step through
 algebra._normal_word, and reduces each cache entry (mod p at power 0, in
 R/2R above) before it is reused: the one key product outside
 algebra.table_product, which folds in the input's coefficients before
-Presentation.from_table builds the one Element of the result.
+Presentation.from_table builds the one Element of the result.  Like
+table_product, it skips products meeting in the codec's square-zero mask.
 
 On the Tate target the squares act through the projective-space formula
 Sq^{2i}(eta^e) = binom(e, i) eta^{e+i} with sigma passing through, since
@@ -167,15 +168,15 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     n, p, index = pres.n, op.prime, op.index
     # R/2R carries the positive {-1}-powers; it is Z/2 for p = 2, else 0
     twisted_modulus = 2 if p == 2 and not pres.profile.minus_one_is_square else 1
-    product = pres.codec()[2]
+    _, _, product, nil = pres.codec()
     terms = pres.table(x)
     table = _generator_table(n, p, index, terms)
     cache: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     acc: dict[int, dict[int, int]] = {}
     for mask, powers in terms.items():
         # the coefficient multiplies as a table on the unit key
-        value = _cartan(cache, table, n, p, twisted_modulus, mask, index)
-        table_product(n, product, value, {0: powers}, acc)
+        value = _cartan(cache, table, n, nil, p, twisted_modulus, mask, index)
+        table_product(n, product, nil, value, {0: powers}, acc)
     return pres.from_table(acc)
 
 
@@ -197,8 +198,8 @@ def _generator_table(n: int, p: int, index: int, masks) -> dict[int, list]:
     return table
 
 
-def _cartan(cache: dict, table: dict[int, list], n: int, p: int, twisted_modulus: int,
-            mask: int, k: int) -> dict[int, dict[int, int]]:
+def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
+            twisted_modulus: int, mask: int, k: int) -> dict[int, dict[int, int]]:
     """The degree-k operation on the monomial with bitmask mask, as
     {mask: {power of {-1}: coefficient}}, by the Cartan sum over its last
     generator.
@@ -218,7 +219,9 @@ def _cartan(cache: dict, table: dict[int, list], n: int, p: int, twisted_modulus
     for b, bit, c in table[last]:
         if b > k:
             break
-        for a, powers in _cartan(cache, table, n, p, twisted_modulus, head, k - b).items():
+        for a, powers in _cartan(cache, table, n, nil, p, twisted_modulus, head, k - b).items():
+            if a & bit & nil:
+                continue
             nf = _normal_word(n, a, bit)
             if nf is None:
                 continue

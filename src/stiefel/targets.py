@@ -97,7 +97,7 @@ class PGmPresentation(Presentation):
     term_order = staticmethod(itemgetter(0))
 
     def codec(self):
-        return _encode, _decode, _key_product
+        return _encode, _decode, _key_product, 0
 
     def lines(self, bd) -> list[tuple[PGmKey, int]]:
         return basis_in_bidegree(self, bd)

@@ -6,10 +6,11 @@ import pytest
 
 from stiefel.algebra import (Element, StiefelPresentation, _normal_word, all_monomials,
                              basis_element, basis_in_bidegree, monomial_bidegree,
-                             poincare_polynomial, random_element)
+                             poincare_polynomial, random_element, table_product)
 from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation
 from stiefel.suites import rewrite_outcomes
+from stiefel.targets import PGmPresentation
 
 Z = CoeffRing()
 PLAIN = FieldProfile()
@@ -370,23 +371,40 @@ def _dense_element(pres, rng):
 
 class TestBitmaskKernel:
     def test_every_monomial_pair_up_to_gl8(self):
+        # both _normal_word and table_product on single-key tables, whose
+        # square-zero mask skips some pairs before _normal_word is called
+        skipped = 0
         for n in range(1, 9):
+            _, _, product, nil = gl(n).codec()
+            # nil has exactly the bits of the generators with rho_i^2 = 0
+            assert [i for i in range(1, n + 1) if nil >> i & 1] == \
+                [i for i in range(1, n + 1) if 2 * i - 1 > n]
             monos = all_monomials(gl(n))
             for m1 in monos:
                 for m2 in monos:
+                    a, b = _bits(m1), _bits(m2)
+                    skipped += bool(a & b & nil)
                     expected = _reference_normal_word(n, m1 + m2)
-                    got = _normal_word(n, _bits(m1), _bits(m2))
+                    got = _normal_word(n, a, b)
+                    table = table_product(n, product, nil, {a: {0: 1}}, {b: {0: 1}}, {})
                     if expected is None:
                         assert got is None, (n, m1, m2)
+                        assert table == {}, (n, m1, m2)
                         continue
                     mono, sign, twist = expected
                     assert got is not None, (n, m1, m2)
                     assert (got[0], got[2]) == (_bits(mono), twist), (n, m1, m2)
+                    assert table == {got[0]: {twist: got[1]}}, (n, m1, m2)
                     # a contraction leaves {-1}^twist with twist >= 1, whose
                     # coefficients lie in R/2R where -1 = 1: the sign only
                     # matters, and is only compared, when twist = 0
                     if twist == 0:
                         assert got[1] == sign, (n, m1, m2)
+        assert skipped > 10_000
+
+    def test_tate_codec_has_no_square_zero_mask(self):
+        for n in range(1, 6):
+            assert PGmPresentation(n).codec()[3] == 0
 
     def test_rho1_square(self):
         # rho_1^2 = {-1} rho_1
@@ -409,7 +427,9 @@ class TestBitmaskKernel:
 
     @pytest.mark.parametrize("ring,profile", [
         (Z, PLAIN), (CoeffRing(3), PLAIN), (CoeffRing(4), PLAIN),
-        (Z, FieldProfile(minus_one_is_square=True))])
+        (Z, FieldProfile(minus_one_is_square=True)), (CoeffRing(2), PLAIN),
+        (CoeffRing(3), FieldProfile(minus_one_is_square=True)),
+        (CoeffRing(4), FieldProfile(minus_one_is_square=True))])
     def test_dense_products_match_reference(self, ring, profile):
         rng = random.Random(20260)
         for n, m in ((6, 6), (7, 5), (8, 4)):

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from stiefel.algebra import StiefelPresentation
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient,
-                                  binom_mod, is_prime)
+                                  binom_mod, is_prime, reduce_powers)
 from stiefel.errors import ContextMismatch, InvalidPresentation
 
 Z = CoeffRing()
@@ -85,6 +87,31 @@ class TestMCoefficient:
     def test_doubling_leaves_only_degree_zero(self):
         x = mc(Z, PLAIN, (0, 5), (1, 1), (3, 1))
         assert (x + x).terms == ((0, 10),)
+
+
+class TestReducePowers:
+    """reduce_powers, and the MCoefficient that from_table builds from it
+    without validation, against the validating constructor."""
+
+    @pytest.mark.parametrize("profile", [PLAIN, SQUARE], ids=["plain", "minus-one-square"])
+    @pytest.mark.parametrize("ring", [Z, Z2, CoeffRing(3), CoeffRing(4)],
+                             ids=["Z", "Z/2", "Z/3", "Z/4"])
+    def test_matches_validating_constructor(self, ring, profile):
+        rng = random.Random(4021)
+        unit = StiefelPresentation(1, 0, ring, profile)
+        for _ in range(500):
+            powers = {k: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
+                      for k in rng.sample(range(5), rng.randint(0, 5))}
+            expected = MCoefficient(ring, profile, tuple(powers.items()))
+            assert reduce_powers(ring, profile, powers) == expected.terms, powers
+            built = unit.from_table({0: powers})
+            if not expected:
+                assert built.terms == (), powers
+                continue
+            ((key, got),) = built.terms
+            assert key == ()
+            assert got == expected and repr(got) == repr(expected), powers
+            assert hash(got) == hash(expected)
 
 
 class TestFieldProfile:

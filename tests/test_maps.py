@@ -7,6 +7,7 @@ from stiefel.algebra import (Element, StiefelPresentation, all_monomials, basis_
                              basis_in_bidegree, monomial_bidegree, random_element)
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import ContextMismatch, InvalidPresentation, SpanError
+from stiefel.linalg import module_kernel
 from stiefel.maps import (RingMap, SymmetryKind, apply_map, comparison_map, compose,
                           immersion_pullback, kernel_basis, projection_pullback,
                           ring_map, symmetry_pullback)
@@ -17,6 +18,8 @@ from stiefel.targets import PGmPresentation
 Z = CoeffRing()
 Z2 = CoeffRing(2)
 PLAIN = FieldProfile()
+MAP_RINGS = (Z, Z2, CoeffRing(3), CoeffRing(4))
+MAP_PROFILES = (PLAIN, FieldProfile(minus_one_is_square=True))
 
 
 class TestProjectionPullback:
@@ -240,6 +243,30 @@ class TestKernelBasis:
         f = immersion_pullback(3, 3)
         assert kernel_basis(f, (2, -1)) == []
 
+    @pytest.mark.parametrize("profile", MAP_PROFILES, ids=["plain", "minus-one-square"])
+    @pytest.mark.parametrize("ring", MAP_RINGS, ids=["Z", "Z/2", "Z/3", "Z/4"])
+    def test_pieces_with_no_target_line(self, ring, profile):
+        # the whole piece is the kernel: the same generators as module_kernel
+        # gives for a map with no target row
+        pieces = 0
+        for n in range(1, 9):
+            f = comparison_map(n, ring, profile)
+            bidegrees = {monomial_bidegree(mono) + (k, k)
+                         for mono in all_monomials(f.source) for k in range(4)}
+            for bd in sorted(bidegrees):
+                src_lines = f.source.lines(bd)
+                if not src_lines or f.target.lines(bd):
+                    continue
+                pieces += 1
+                moduli = [ring.modulus if k == 0 else 2 for _, k in src_lines]
+                expected = [
+                    Element(f.source, tuple(
+                        (src_lines[c][0], MCoefficient(ring, profile, ((src_lines[c][1], v),)))
+                        for c, v in vector.items()))
+                    for vector, _order in module_kernel([], moduli, [])]
+                assert kernel_basis(f, bd) == expected, (n, bd)
+        assert pieces > 100
+
 
 class TestNaturality:
     def test_squares_commute_with_comparison(self):
@@ -319,10 +346,6 @@ def _builtin_maps(n, ring, profile):
             yield symmetry_pullback(n, m, SymmetryKind.NEGATE_FIRST_COLUMN,
                                     ring=ring, profile=profile)
     yield comparison_map(n, ring, profile)
-
-
-MAP_RINGS = (Z, Z2, CoeffRing(3), CoeffRing(4))
-MAP_PROFILES = (PLAIN, FieldProfile(minus_one_is_square=True))
 
 
 class TestApplyMapAgainstReference:
