@@ -21,7 +21,7 @@ their product from a Presentation, here StiefelPresentation and, for the
 Tate target, targets.PGmPresentation.  Products, ring maps and the
 Steenrod kernel's input fold multiply {code: {power of {-1}: int}} tables
 in table_product, and Presentation.from_table builds their results,
-reducing each coefficient once with coefficients.reduce_powers.
+reducing each coefficient once with MCoefficient._reduced.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_powers
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from .errors import (ContextMismatch, ElementParseError, InvalidGenerator,
                      InvalidPresentation, json_int)
 
@@ -66,16 +66,10 @@ class Presentation:
 
     def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
         """The element of a computed table.  Codec products of valid keys are
-        valid and distinct and reduce_powers normalizes, so nothing is checked."""
+        valid and distinct and MCoefficient._reduced normalizes, so nothing is checked."""
         decode, ring, profile = self.codec()[1], self.ring, self.profile
-        terms = []
-        for code, powers in acc.items():
-            if reduced := reduce_powers(ring, profile, powers):
-                c = object.__new__(MCoefficient)
-                object.__setattr__(c, "ring", ring)
-                object.__setattr__(c, "profile", profile)
-                object.__setattr__(c, "terms", reduced)
-                terms.append((decode(code), c))
+        terms = [(decode(code), c) for code, powers in acc.items()
+                 if (c := MCoefficient._reduced(ring, profile, powers)) is not None]
         x = object.__new__(Element)
         object.__setattr__(x, "pres", self)
         object.__setattr__(x, "terms", tuple(sorted(terms, key=self.term_order)))

@@ -129,6 +129,24 @@ class MCoefficient:
         """The class {-1}^power."""
         return cls(ring, profile, ((power, 1),))
 
+    @classmethod
+    def _reduced(cls, ring: CoeffRing, profile: FieldProfile,
+                 powers: dict[int, int]) -> "MCoefficient | None":
+        """MCoefficient(ring, profile, tuple(powers.items())) or None if zero, unchecked."""
+        twisted = 1 if profile.minus_one_is_square or ring.modulus % 2 else 2
+        terms = []
+        for k, c in sorted(powers.items()):
+            c = c % twisted if k else ring.reduce(c)
+            if c:
+                terms.append((k, c))
+        if not terms:
+            return None
+        x = object.__new__(cls)
+        object.__setattr__(x, "ring", ring)
+        object.__setattr__(x, "profile", profile)
+        object.__setattr__(x, "terms", tuple(terms))
+        return x
+
     def _require_same_context(self, other: "MCoefficient") -> None:
         if self.ring != other.ring or self.profile != other.profile:
             raise ContextMismatch(
@@ -173,19 +191,6 @@ class MCoefficient:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-
-def reduce_powers(ring: CoeffRing, profile: FieldProfile,
-                  powers: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """MCoefficient(ring, profile, tuple(powers.items())).terms for {k >= 0: c_k},
-    unchecked: c_0 mod R; c_k mod 2 when R/2R != 0 and -1 is not a square, else 0."""
-    twisted = 1 if profile.minus_one_is_square or ring.modulus % 2 else 2
-    out = []
-    for k, c in sorted(powers.items()):
-        c = c % twisted if k else ring.reduce(c)
-        if c:
-            out.append((k, c))
-    return tuple(out)
 
 
 def is_prime(p: int) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Element, Presentation, StiefelPresentation, basis_element, table_product
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_powers
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
 from .targets import PGmPresentation
@@ -216,7 +216,8 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     for col, table in enumerate(_image_tables(f, ((mono, {k: 1}) for mono, k in src_lines))):
         for code, powers in table.items():
             # reduced as apply_map's from_table reduces
-            for k, value in reduce_powers(ring, profile, powers):
+            c = MCoefficient._reduced(ring, profile, powers)
+            for k, value in (c.terms if c else ()):
                 if (code, k) not in index:
                     raise AssertionError(
                         f"image term {(decode(code), k)} missed the graded piece {bd}")

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from stiefel.algebra import StiefelPresentation
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient,
-                                  binom_mod, is_prime, reduce_powers)
+                                  binom_mod, is_prime)
 from stiefel.errors import ContextMismatch, InvalidPresentation
 
 Z = CoeffRing()
@@ -89,9 +89,9 @@ class TestMCoefficient:
         assert (x + x).terms == ((0, 10),)
 
 
-class TestReducePowers:
-    """reduce_powers, and the MCoefficient that from_table builds from it
-    without validation, against the validating constructor."""
+class TestReduced:
+    """MCoefficient._reduced, and the coefficients that from_table builds with
+    it, against the validating constructor."""
 
     @pytest.mark.parametrize("profile", [PLAIN, SQUARE], ids=["plain", "minus-one-square"])
     @pytest.mark.parametrize("ring", [Z, Z2, CoeffRing(3), CoeffRing(4)],
@@ -103,15 +103,16 @@ class TestReducePowers:
             powers = {k: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
                       for k in rng.sample(range(5), rng.randint(0, 5))}
             expected = MCoefficient(ring, profile, tuple(powers.items()))
-            assert reduce_powers(ring, profile, powers) == expected.terms, powers
+            reduced = MCoefficient._reduced(ring, profile, powers)
             built = unit.from_table({0: powers})
             if not expected:
-                assert built.terms == (), powers
+                assert reduced is None and built.terms == (), powers
                 continue
             ((key, got),) = built.terms
             assert key == ()
-            assert got == expected and repr(got) == repr(expected), powers
-            assert hash(got) == hash(expected)
+            for c in (reduced, got):
+                assert c == expected and repr(c) == repr(expected), powers
+                assert hash(c) == hash(expected)
 
 
 class TestFieldProfile:

@@ -2,19 +2,20 @@
 
 Usage (from the root of a git checkout):
 
-    python3 tools/bench_pairs.py --out BENCH_11.json --workloads products \
-        --pairs 10 --first-seed 11 [--parent HEAD~1] [--change HEAD] \
-        [--seconds 20] [--trace-seed 5] [--tier1] [--workdir DIR]
+    python3 tools/bench_pairs.py --out BENCH_11.json --pairs 10 --first-seed 11 \
+        [--workloads products ...] [--parent HEAD~1] [--change HEAD] \
+        [--trace-seed 5] [--tier1]
 
-Both commits are exported with `git archive` into fresh directories, so
-each side runs `bench/run.py` from its own committed files, as a clean
-checkout would.  Pair i runs seed first_seed + i on both sides; the parent
-runs first in even pairs and the change in odd ones.  For each workload and
-side the record keeps every run and the median and quartiles of each
-end-to-end metric declared in BENCHMARK.json, and counts the pairs in which
-the change reads better.  --trace-seed adds one traced run per workload and
-side (the per-layer metrics); --tier1 times the tier-1 test run on each
-side.  An existing record of the same two commits is updated in place: the
+Both commits are exported with `git archive` into a new temporary directory,
+so each side runs `bench/run.py` from its own committed files, as a clean
+checkout would.  The workloads (all by default) and the run length come from
+the change's BENCHMARK.json.  Pair i runs seed first_seed + i on both sides;
+the parent runs first in even pairs and the change in odd ones.  For each
+workload and side the record keeps every run and the median and quartiles of
+each end-to-end metric, and counts the pairs in which the change reads
+better.  --trace-seed adds one traced run per workload and side (the
+per-layer metrics); --tier1 runs the tier-1 tests on each side and records
+their exit status, and their wall time only when they pass.  An existing record of the same two commits is updated in place: the
 workloads run now replace their earlier entries, and the others are kept.
 """
 
@@ -67,14 +68,17 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool)
 
 
 def tier1(checkout: Path) -> dict:
-    """Wall time and summary line of the tier-1 test run."""
+    """Exit status and summary line of the tier-1 test run, and its wall
+    time if it passed."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"],
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
                           cwd=checkout, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
-    return {"tier1_s": seconds, "tier1_summary": proc.stdout.strip().splitlines()[-1]}
+    out = {"tier1_exit": proc.returncode, "tier1_summary": proc.stdout.strip().splitlines()[-1]}
+    if proc.returncode == 0:
+        out["tier1_s"] = seconds
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -106,25 +110,30 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workloads", nargs="+", required=True,
-                        choices=["products", "steenrod", "pieces", "cli"])
+    parser.add_argument("--workloads", nargs="+", help="default: every workload")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--tier1", action="store_true")
-    parser.add_argument("--workdir", type=Path,
-                        help="where the two exports go (default: a new temporary directory)")
     args = parser.parse_args(argv)
+    spec = json.loads(git("show", f"{args.change}:BENCHMARK.json"))
+    names = [w["name"] for w in spec["workloads"]]
+    if unknown := set(args.workloads or ()) - set(names):
+        parser.error(f"unknown workloads {sorted(unknown)}; BENCHMARK.json has {names}")
+    args.workloads = args.workloads or names
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
+        record_pairs(args, spec, Path(work))
+    return 0
 
-    work = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+
+def record_pairs(args: argparse.Namespace, spec: dict, work: Path) -> None:
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     dirs = {side: work / side for side in SIDES}
     shas = {side: export(rev, dirs[side])
             for side, rev in zip(SIDES, (args.parent, args.change))}
-    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     if {side: record.get("sides", {}).get(side, {}).get("git_sha") for side in SIDES} != shas:
@@ -135,12 +144,13 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "platform": platform.platform(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "sides": {side: dict(record.get("sides", {}).get(side, {}), git_sha=shas[side],
                              src_lines=src_lines(dirs[side])) for side in SIDES},
     })
     if args.tier1:
         for side in SIDES:
+            record["sides"][side].pop("tier1_s", None)  # an earlier run's time
             record["sides"][side].update(tier1(dirs[side]))
             print(side, record["sides"][side]["tier1_summary"], flush=True)
 
@@ -149,18 +159,16 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                run = bench(dirs[side], workload, args.first_seed + i, args.seconds, False)
-                run["first"] = side == order[0]
+                run = bench(dirs[side], workload, args.first_seed + i, seconds, False)
                 runs[side].append(run)
                 print(workload, args.first_seed + i, side,
                       f"ops_per_s {run['metrics']['ops_per_s']:.2f}", flush=True)
         entry = compare(runs, better)
         if args.trace_seed is not None:
             entry["traced"] = {side: bench(dirs[side], workload, args.trace_seed,
-                                           args.seconds, True) for side in SIDES}
+                                           seconds, True) for side in SIDES}
         record["workloads"][workload] = entry
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
