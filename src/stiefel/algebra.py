@@ -20,8 +20,8 @@ Element is the element type of every computed ring: it reads the keys and
 their product from a Presentation, here StiefelPresentation and, for the
 Tate target, targets.PGmPresentation.  Products, ring maps and the
 Steenrod kernel's input fold multiply {code: {power of {-1}: int}} tables
-in table_product, and Presentation.from_table builds their results,
-reducing each coefficient once with MCoefficient._reduced.
+in table_product, and Presentation.from_table builds their results after
+one coefficients.reduce_table pass over the whole table.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_table,
+                           twisted_modulus)
 from .errors import (ContextMismatch, ElementParseError, InvalidGenerator,
                      InvalidPresentation, json_int)
 
@@ -65,11 +66,12 @@ class Presentation:
         return {encode(key): dict(c.terms) for key, c in x.terms}
 
     def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
-        """The element of a computed table.  Codec products of valid keys are
-        valid and distinct and MCoefficient._reduced normalizes, so nothing is checked."""
+        """The element of a computed table, reduced by reduce_table.  Codec
+        products of valid keys are valid and distinct, so nothing is checked."""
         decode, ring, profile = self.codec()[1], self.ring, self.profile
-        terms = [(decode(code), c) for code, powers in acc.items()
-                 if (c := MCoefficient._reduced(ring, profile, powers)) is not None]
+        unchecked = MCoefficient._unchecked
+        terms = [(decode(code), unchecked(ring, profile, powers)) for code, powers in
+                 reduce_table(acc, ring.modulus, twisted_modulus(ring, profile)).items()]
         x = object.__new__(Element)
         object.__setattr__(x, "pres", self)
         object.__setattr__(x, "terms", tuple(sorted(terms, key=self.term_order)))
@@ -256,19 +258,6 @@ class Element:
         return {self.pres.key_bidegree(key) + (k, k) for key, c in self.terms
                 for k, _ in c.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
-
-    def homogeneous_part(self, bd) -> "Element":
-        bd = Bidegree(*bd)
-        picked = []
-        for key, c in self.terms:
-            base = self.pres.key_bidegree(key)
-            keep = tuple((k, ck) for k, ck in c.terms if base + (k, k) == bd)
-            if keep:
-                picked.append((key, MCoefficient(self.pres.ring, self.pres.profile, keep)))
-        return Element(self.pres, tuple(picked))
-
 
 def table_product(n: int, product, nil: int, xs: dict[int, dict[int, int]],
                   ys: dict[int, dict[int, int]], acc: dict) -> dict:
@@ -368,12 +357,6 @@ def all_monomials(pres: StiefelPresentation) -> list[Monomial]:
     return out
 
 
-def has_torsion_lines(pres: Presentation) -> bool:
-    """Whether lines with k >= 1 exist: R/2R is nonzero and -1 is not a
-    square."""
-    return not pres.profile.minus_one_is_square and pres.ring.reduce_mod_two(1) != 0
-
-
 def basis_in_bidegree(pres: StiefelPresentation, bd) -> list[tuple[Monomial, int]]:
     """Basis lines (monomial, k) of the (p, q) graded piece, k the {-1}-power,
     sorted by (k, monomial).
@@ -398,7 +381,7 @@ def basis_in_bidegree(pres: StiefelPresentation, bd) -> list[tuple[Monomial, int
         return []
     lo, hi = pres.n - pres.m + 1, pres.n
     # k ranges over S >= 0 (k <= q) and 0 <= L <= m
-    top = min(q if has_torsion_lines(pres) else 0, 2 * q - p)
+    top = min(q if twisted_modulus(pres.ring, pres.profile) > 1 else 0, 2 * q - p)
     out: list[tuple[Monomial, int]] = []
     endings: dict[tuple[int, int, int], list[tuple[Monomial, int]]] = {}
     for k in range(max(0, 2 * q - p - pres.m), top + 1):

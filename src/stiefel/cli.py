@@ -20,9 +20,8 @@ import time
 import click
 
 from . import serialize
-from .algebra import (Element, StiefelPresentation, basis_in_bidegree, has_torsion_lines,
-                      poincare_polynomial)
-from .coefficients import FieldProfile
+from .algebra import Element, StiefelPresentation, basis_in_bidegree, poincare_polynomial
+from .coefficients import FieldProfile, twisted_modulus
 from .errors import (ContextMismatch, ElementParseError, InvalidPresentation,
                      StiefelError)
 from .render import (basis_report, element_text, presentation_dict,
@@ -197,7 +196,7 @@ def _piece_size(pres: StiefelPresentation, p: int, q: int) -> int:
     """Number of basis lines in bidegree (p, q), read off the Poincare
     polynomial up to weight q: monomials at (p, q), plus those at
     (p - k, q - k) for k >= 1 when torsion lines exist."""
-    torsion = has_torsion_lines(pres)
+    torsion = twisted_modulus(pres.ring, pres.profile) > 1
     return sum(count for bd, count in poincare_polynomial(pres, q).items()
                if p - bd.p == q - bd.q and (p == bd.p or torsion and p > bd.p))
 
@@ -274,15 +273,15 @@ def check(suite, seed, fmt):
             seed = int(env)
         except ValueError:
             raise click.UsageError(f"STIEFEL_SEED must be an integer, got {env!r}")
+    # checked here, so that a KeyError raised inside a suite is not a usage error
+    if suite != "all" and suite not in suites.SUITES:
+        raise click.UsageError(f"unknown suite {suite!r}; available: {', '.join(suites.SUITES)}")
     names = suites.suite_names() if suite == "all" else [suite]
     results, seconds = [], []
-    try:
-        for name in names:
-            start = time.perf_counter()
-            results.append(suites.run_suite(name, seed))
-            seconds.append(time.perf_counter() - start)
-    except KeyError as exc:
-        raise click.UsageError(str(exc.args[0]))
+    for name in names:
+        start = time.perf_counter()
+        results.append(suites.run_suite(name, seed))
+        seconds.append(time.perf_counter() - start)
     if fmt == "json":
         click.echo(json.dumps([{"name": r.name, "cases": r.cases, "seconds": s,
                                 "failures": r.failures} for r, s in zip(results, seconds)]))

@@ -9,6 +9,9 @@ involves nothing else.  An MCoefficient is a finite sum
 with c_0 in the coefficient ring R (the integers or Z/m) and, because
 2 {-1} = 0, every higher c_k in R/2R.  When -1 is a square in the ground
 field, {-1} itself vanishes and all positive powers are dropped.
+
+twisted_modulus and reduce_table own that rule for computed tables; the
+validating MCoefficient constructor, their oracle, applies it on its own.
 """
 
 from __future__ import annotations
@@ -130,21 +133,13 @@ class MCoefficient:
         return cls(ring, profile, ((power, 1),))
 
     @classmethod
-    def _reduced(cls, ring: CoeffRing, profile: FieldProfile,
-                 powers: dict[int, int]) -> "MCoefficient | None":
-        """MCoefficient(ring, profile, tuple(powers.items())) or None if zero, unchecked."""
-        twisted = 1 if profile.minus_one_is_square or ring.modulus % 2 else 2
-        terms = []
-        for k, c in sorted(powers.items()):
-            c = c % twisted if k else ring.reduce(c)
-            if c:
-                terms.append((k, c))
-        if not terms:
-            return None
+    def _unchecked(cls, ring: CoeffRing, profile: FieldProfile,
+                   powers: dict[int, int]) -> "MCoefficient":
+        """The coefficient of a row of reduce_table, built without normalizing."""
         x = object.__new__(cls)
         object.__setattr__(x, "ring", ring)
         object.__setattr__(x, "profile", profile)
-        object.__setattr__(x, "terms", tuple(terms))
+        object.__setattr__(x, "terms", tuple(sorted(powers.items())))
         return x
 
     def _require_same_context(self, other: "MCoefficient") -> None:
@@ -191,6 +186,32 @@ class MCoefficient:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+
+def twisted_modulus(ring: CoeffRing, profile: FieldProfile) -> int:
+    """The modulus of the positive {-1}-powers: 2 when they live in
+    R/2R = Z/2, and 1 when they vanish (R/2R = 0, or -1 a square)."""
+    return 1 if profile.minus_one_is_square or ring.modulus % 2 else 2
+
+
+def reduce_table(acc: dict[int, dict[int, int]], modulus: int,
+                 twisted: int) -> dict[int, dict[int, int]]:
+    """The table {code: {power of {-1}: int}} with power 0 reduced mod
+    modulus (0 meaning Z) and every higher power mod twisted
+    (twisted_modulus), zeros and emptied codes dropped."""
+    out = {}
+    for code, powers in acc.items():
+        reduced = {}
+        for k, c in powers.items():
+            if k:
+                c %= twisted
+            elif modulus:
+                c %= modulus
+            if c:
+                reduced[k] = c
+        if reduced:
+            out[code] = reduced
+    return out
 
 
 def is_prime(p: int) -> bool:

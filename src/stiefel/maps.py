@@ -16,8 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Element, Presentation, StiefelPresentation, basis_element, table_product
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from .algebra import Element, Presentation, StiefelPresentation, table_product
+from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_table,
+                           twisted_modulus)
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
 from .targets import PGmPresentation
@@ -198,7 +199,9 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
 
     Returns independent generators of the kernel subgroup (free generators
     and 2-torsion generators mixed), computed by exact integer linear
-    algebra on the graded piece.  Generator-level maps are rejected.
+    algebra on the graded piece: reduce_table turns each source line's image
+    into a column, of modulus R at k = 0 and twisted_modulus above.  With no
+    target line there is nothing to eliminate.  Generator-level maps are rejected.
     """
     if f.generator_level_only:
         raise SpanError("kernel computation needs a map defined on the whole ring")
@@ -206,27 +209,28 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     if not src_lines:
         return []
     tgt_lines = f.target.lines(bd)
-    if not tgt_lines:
+    if tgt_lines:
+        ring, profile = f.target.ring, f.target.profile
+        twisted = twisted_modulus(ring, profile)
+        encode, decode = f.target.codec()[:2]
+        index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
+        rows: list[dict[int, int]] = [{} for _ in tgt_lines]
+        for col, table in enumerate(_image_tables(f, ((mono, {k: 1}) for mono, k in src_lines))):
+            for code, powers in reduce_table(table, ring.modulus, twisted).items():
+                for k, value in powers.items():
+                    if (code, k) not in index:
+                        raise AssertionError(
+                            f"image term {(decode(code), k)} missed the graded piece {bd}")
+                    rows[index[code, k]][col] = value
+        # source and target share the ring and profile
+        src_moduli = [ring.modulus if k == 0 else twisted for _, k in src_lines]
+        tgt_moduli = [ring.modulus if k == 0 else twisted for _, k in tgt_lines]
+        vectors = [vector for vector, _order in module_kernel(rows, src_moduli, tgt_moduli)]
+    else:
         # the map is zero on the piece, so every source line is in the kernel
-        return [basis_element(f.source, key, k) for key, k in src_lines]
-    ring, profile = f.target.ring, f.target.profile
-    encode, decode = f.target.codec()[:2]
-    index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
-    rows: list[dict[int, int]] = [{} for _ in tgt_lines]
-    for col, table in enumerate(_image_tables(f, ((mono, {k: 1}) for mono, k in src_lines))):
-        for code, powers in table.items():
-            # reduced as apply_map's from_table reduces
-            c = MCoefficient._reduced(ring, profile, powers)
-            for k, value in (c.terms if c else ()):
-                if (code, k) not in index:
-                    raise AssertionError(
-                        f"image term {(decode(code), k)} missed the graded piece {bd}")
-                rows[index[code, k]][col] = value
-    # lines with k >= 1 carry R/2R; they are only enumerated when that is Z/2
-    src_moduli = [f.source.ring.modulus if k == 0 else 2 for _, k in src_lines]
-    tgt_moduli = [ring.modulus if k == 0 else 2 for _, k in tgt_lines]
+        vectors = [{col: 1} for col in range(len(src_lines))]
     # a monomial fixes its k in a graded piece, so the codes are distinct
     encode = f.source.codec()[0]
     return [f.source.from_table({encode(src_lines[c][0]): {src_lines[c][1]: value}
                                  for c, value in vector.items()})
-            for vector, _order in module_kernel(rows, src_moduli, tgt_moduli)]
+            for vector in vectors]

@@ -22,8 +22,8 @@ of its input; since target = j + b(p-1) must stay <= n, a table row has at
 most (n - j)/(p - 1) + 1 entries however large the index.  The recursion
 (_cartan) maps a monomial bitmask and a degree to {mask: {power of {-1}:
 integer}}, multiplies by one generator value per step through
-algebra._normal_word, and reduces each cache entry (mod p at power 0, in
-R/2R above) before it is reused: the one key product outside
+algebra._normal_word, and reduces each cache entry it builds with one
+coefficients.reduce_table call: the one key product outside
 algebra.table_product, which folds in the input's coefficients before
 Presentation.from_table builds the one Element of the result.  Like
 table_product, it skips products meeting in the codec's square-zero mask.
@@ -39,7 +39,8 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import Element, StiefelPresentation, _monomial, _normal_word, table_product
-from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime
+from .coefficients import (Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime,
+                           reduce_table, twisted_modulus)
 from .errors import InadmissibleOperation, InvalidGenerator
 
 
@@ -166,8 +167,7 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     """An even operation on an element of H(W(n, m)) by the Cartan sum."""
     pres = x.pres
     n, p, index = pres.n, op.prime, op.index
-    # R/2R carries the positive {-1}-powers; it is Z/2 for p = 2, else 0
-    twisted_modulus = 2 if p == 2 and not pres.profile.minus_one_is_square else 1
+    twisted = twisted_modulus(pres.ring, pres.profile)
     _, _, product, nil = pres.codec()
     terms = pres.table(x)
     table = _generator_table(n, p, index, terms)
@@ -175,7 +175,7 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     acc: dict[int, dict[int, int]] = {}
     for mask, powers in terms.items():
         # the coefficient multiplies as a table on the unit key
-        value = _cartan(cache, table, n, nil, p, twisted_modulus, mask, index)
+        value = _cartan(cache, table, n, nil, p, twisted, mask, index)
         table_product(n, product, nil, value, {0: powers}, acc)
     return pres.from_table(acc)
 
@@ -199,14 +199,14 @@ def _generator_table(n: int, p: int, index: int, masks) -> dict[int, list]:
 
 
 def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
-            twisted_modulus: int, mask: int, k: int) -> dict[int, dict[int, int]]:
+            twisted: int, mask: int, k: int) -> dict[int, dict[int, int]]:
     """The degree-k operation on the monomial with bitmask mask, as
     {mask: {power of {-1}: coefficient}}, by the Cartan sum over its last
     generator.
 
-    Coefficients are reduced (mod p at power 0, mod twisted_modulus above)
-    and zeros dropped, so cancelled monomials stop propagating.  The cache
-    is keyed by (mask, k) and owned by the caller."""
+    Each cache entry is reduced as a whole by reduce_table when it is built,
+    so cancelled monomials stop propagating.  The cache is keyed by
+    (mask, k) and owned by the caller."""
     if not mask:
         return {0: {0: 1}} if k == 0 else {}
     key = (mask, k)
@@ -219,7 +219,7 @@ def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
     for b, bit, c in table[last]:
         if b > k:
             break
-        for a, powers in _cartan(cache, table, n, nil, p, twisted_modulus, head, k - b).items():
+        for a, powers in _cartan(cache, table, n, nil, p, twisted, head, k - b).items():
             if a & bit & nil:
                 continue
             nf = _normal_word(n, a, bit)
@@ -233,16 +233,7 @@ def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
             for e, v in powers.items():
                 e += twist
                 dst[e] = dst.get(e, 0) + v * sc
-    value = {}
-    for prod, powers in acc.items():
-        reduced = {}
-        for e, v in powers.items():
-            v %= twisted_modulus if e else p
-            if v:
-                reduced[e] = v
-        if reduced:
-            value[prod] = reduced
-    cache[key] = value
+    value = cache[key] = reduce_table(acc, p, twisted)
     return value
 
 

@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import Element, Presentation, has_torsion_lines
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from .algebra import Element, Presentation
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, twisted_modulus
 from .errors import InadmissibleOperation, InvalidPresentation, json_int
 from .operations import apply_operation, square
 
@@ -159,4 +159,4 @@ def basis_in_bidegree(pres: PGmPresentation, bd) -> list[tuple[PGmKey, int]]:
     if not 0 <= e < pres.n:
         return []
     return [((s, e), k) for s, k in ((1, q - e - 1), (0, q - e))
-            if k == 0 or k > 0 and has_torsion_lines(pres)]
+            if k == 0 or k > 0 and twisted_modulus(pres.ring, pres.profile) > 1]

@@ -133,8 +133,6 @@ class TestNormalForm:
         pres = gl(3)
         x = pres.gen(2) + pres.minus_one() * pres.gen(1)
         assert x.bidegrees() == {Bidegree(3, 2), Bidegree(2, 2)}
-        assert not x.is_homogeneous()
-        assert x.homogeneous_part((3, 2)) == pres.gen(2)
 
 
 class TestBasis:

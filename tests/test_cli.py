@@ -303,6 +303,17 @@ class TestCheck:
     def test_unknown_suite(self):
         result = run("check", "--suite", "nonsense")
         assert result.exit_code == 2
+        assert f"unknown suite 'nonsense'; available: {', '.join(suites.SUITES)}" in result.output
+
+    def test_key_error_inside_a_suite_is_not_a_usage_error(self, monkeypatch):
+        def planted(seed):
+            raise KeyError("raised by the suite body")
+
+        monkeypatch.setitem(suites.SUITES, "planted", planted)
+        result = run("check", "--suite", "planted")
+        assert result.exit_code != 2
+        assert isinstance(result.exception, KeyError)
+        assert "unknown suite" not in result.output
 
     def test_seed_env_override(self, monkeypatch):
         # one shared run per seed: an ignored STIEFEL_SEED would show seed=123

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from stiefel.algebra import StiefelPresentation
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient,
-                                  binom_mod, is_prime)
+                                  binom_mod, is_prime, reduce_table, twisted_modulus)
 from stiefel.errors import ContextMismatch, InvalidPresentation
 
 Z = CoeffRing()
@@ -90,8 +90,8 @@ class TestMCoefficient:
 
 
 class TestReduced:
-    """MCoefficient._reduced, and the coefficients that from_table builds with
-    it, against the validating constructor."""
+    """reduce_table, and the unchecked coefficients that from_table builds
+    from its rows, against the validating constructor."""
 
     @pytest.mark.parametrize("profile", [PLAIN, SQUARE], ids=["plain", "minus-one-square"])
     @pytest.mark.parametrize("ring", [Z, Z2, CoeffRing(3), CoeffRing(4)],
@@ -99,20 +99,28 @@ class TestReduced:
     def test_matches_validating_constructor(self, ring, profile):
         rng = random.Random(4021)
         unit = StiefelPresentation(1, 0, ring, profile)
+        twisted = twisted_modulus(ring, profile)
         for _ in range(500):
             powers = {k: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
                       for k in rng.sample(range(5), rng.randint(0, 5))}
             expected = MCoefficient(ring, profile, tuple(powers.items()))
-            reduced = MCoefficient._reduced(ring, profile, powers)
+            reduced = reduce_table({0: powers}, ring.modulus, twisted)
             built = unit.from_table({0: powers})
             if not expected:
-                assert reduced is None and built.terms == (), powers
+                assert reduced == {} and built.terms == (), powers
                 continue
+            assert reduced == {0: dict(expected.terms)}, powers
             ((key, got),) = built.terms
             assert key == ()
-            for c in (reduced, got):
+            for c in (MCoefficient._unchecked(ring, profile, reduced[0]), got):
                 assert c == expected and repr(c) == repr(expected), powers
                 assert hash(c) == hash(expected)
+
+    @pytest.mark.parametrize("profile", [PLAIN, SQUARE], ids=["plain", "minus-one-square"])
+    def test_twisted_modulus_matches_reduce_mod_two(self, profile):
+        for ring in [Z] + [CoeffRing(m) for m in range(2, 7)]:
+            torsion = not profile.minus_one_is_square and ring.reduce_mod_two(1) != 0
+            assert twisted_modulus(ring, profile) == (2 if torsion else 1), ring
 
 
 class TestFieldProfile:
