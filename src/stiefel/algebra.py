@@ -66,12 +66,18 @@ class Presentation:
         return {encode(key): dict(c.terms) for key, c in x.terms}
 
     def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
-        """The element of a computed table, reduced by reduce_table.  Codec
-        products of valid keys are valid and distinct, so nothing is checked."""
+        """The element of a computed table, reduced by reduce_table and
+        decoded.  Codec products of valid keys are valid and distinct, so
+        _from_terms checks nothing."""
         decode, ring, profile = self.codec()[1], self.ring, self.profile
         unchecked = MCoefficient._unchecked
-        terms = [(decode(code), unchecked(ring, profile, powers)) for code, powers in
-                 reduce_table(acc, ring.modulus, twisted_modulus(ring, profile)).items()]
+        return self._from_terms([(decode(code), unchecked(ring, profile, powers))
+                                 for code, powers in reduce_table(
+                                     acc, ring.modulus, twisted_modulus(ring, profile)).items()])
+
+    def _from_terms(self, terms) -> "Element":
+        """The element of (key, coefficient) terms with valid, distinct keys
+        and nonzero reduced coefficients, sorted by term_order and not checked."""
         x = object.__new__(Element)
         object.__setattr__(x, "pres", self)
         object.__setattr__(x, "terms", tuple(sorted(terms, key=self.term_order)))
@@ -316,7 +322,8 @@ def _normal_word(n: int, a: int, b: int) -> tuple[int, int, int] | None:
     of which one pair remains to contract), and rho_1^2 = {-1} rho_1.  No
     sign is tracked once a contraction happens: the result then carries
     {-1}^twist with twist >= 1, whose coefficients lie in R/2R, where
-    -1 = 1, so sign 1 is returned.
+    -1 = 1, so sign 1 is returned.  Callers skip the pairs meeting in the
+    square-zero mask; such a pair still gives None, by the j > n test.
     """
     twice = a & b
     if not twice:
@@ -327,9 +334,6 @@ def _normal_word(n: int, a: int, b: int) -> tuple[int, int, int] | None:
             crossings += (a >> low.bit_length()).bit_count()
             rest ^= low
         return a | b, -1 if crossings & 1 else 1, 0
-    # every repeated index is contracted at least once
-    if twice >> ((n + 1) // 2 + 1):
-        return None
     single = a ^ b
     twist = 0
     while twice:

@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 usage error, 3 math-context error (also a basis
 piece of more than MAX_BASIS_LINES lines), 4 property failure.  The
 environment variable STIEFEL_SEED overrides --seed.
 
-Start-up is most of a short call, so `operations`, `maps` and `suites` are
-imported inside the commands that run them, not here.
+Every ring command takes its ring through ring_options, which hands it one
+StiefelPresentation built, like everything the command raises, inside
+guarded.  Start-up is most of a short call, so `operations`, `maps` and
+`suites` are imported inside the commands that run them, not here.
 """
 
 from __future__ import annotations
@@ -48,19 +50,26 @@ def guarded(fn):
 
 
 def ring_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]),
-                      default="text", show_default=True, help="Output format.")(fn)
-    fn = click.option("--char", "characteristic", type=int, default=None,
-                      help="Record the characteristic of the ground field.")(fn)
-    fn = click.option("--minus-one", type=click.Choice(["square", "nonsquare"]),
-                      default="nonsquare", show_default=True,
-                      help="Whether -1 is a square in the ground field.")(fn)
-    fn = click.option("--coeff", default="Z/2", show_default=True,
-                      help='Coefficient ring: "Z" or "Z/<m>".')(fn)
-    fn = click.option("-m", type=int, default=None,
-                      help="Frame length (defaults to n, giving GL(n)).")(fn)
-    fn = click.option("-n", type=int, required=True, help="Ambient dimension.")(fn)
-    return fn
+    """Add the ring options to a command and call it with the presentation
+    they give as its first argument.  The presentation is built before the
+    command parses anything else, and both run inside guarded."""
+    @click.option("-n", type=int, required=True, help="Ambient dimension.")
+    @click.option("-m", type=int, default=None,
+                  help="Frame length (defaults to n, giving GL(n)).")
+    @click.option("--coeff", default="Z/2", show_default=True,
+                  help='Coefficient ring: "Z" or "Z/<m>".')
+    @click.option("--minus-one", type=click.Choice(["square", "nonsquare"]),
+                  default="nonsquare", show_default=True,
+                  help="Whether -1 is a square in the ground field.")
+    @click.option("--char", "characteristic", type=int, default=None,
+                  help="Record the characteristic of the ground field.")
+    @click.option("--format", "fmt", type=click.Choice(["text", "json", "latex"]),
+                  default="text", show_default=True, help="Output format.")
+    @functools.wraps(fn)
+    @guarded
+    def command(n, m, coeff, minus_one, characteristic, **kwargs):
+        return fn(build_presentation(n, m, coeff, minus_one, characteristic), **kwargs)
+    return command
 
 
 def build_presentation(n, m, coeff, minus_one, characteristic) -> StiefelPresentation:
@@ -111,10 +120,8 @@ def main():
 
 @main.command()
 @ring_options
-@guarded
-def present(n, m, coeff, minus_one, characteristic, fmt):
+def present(pres, fmt):
     """Print the ring presentation of H(W(n, m))."""
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
     if fmt == "json":
         click.echo(json.dumps(presentation_dict(pres)))
     elif fmt == "latex":
@@ -127,10 +134,8 @@ def present(n, m, coeff, minus_one, characteristic, fmt):
 @click.argument("x")
 @click.argument("y")
 @ring_options
-@guarded
-def mul(x, y, n, m, coeff, minus_one, characteristic, fmt):
+def mul(pres, x, y, fmt):
     """Multiply two elements."""
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
     emit_element(parse_element(x, pres) * parse_element(y, pres), fmt)
 
 
@@ -138,12 +143,10 @@ def mul(x, y, n, m, coeff, minus_one, characteristic, fmt):
 @click.option("-i", "index", type=int, required=True, help="Apply Sq^i.")
 @click.argument("x")
 @ring_options
-@guarded
-def sq(index, x, n, m, coeff, minus_one, characteristic, fmt):
+def sq(pres, index, x, fmt):
     """Apply the motivic Steenrod square Sq^i (odd i gives zero)."""
     from .operations import apply_operation, square
 
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
     try:
         op = square(index)
     except ValueError as exc:
@@ -158,12 +161,10 @@ def sq(index, x, n, m, coeff, minus_one, characteristic, fmt):
               help="Apply the Bockstein instead of P^i.")
 @click.argument("x")
 @ring_options
-@guarded
-def power_cmd(index, prime, use_bockstein, x, n, m, coeff, minus_one, characteristic, fmt):
+def power_cmd(pres, index, prime, use_bockstein, x, fmt):
     """Apply the reduced power P^i (or the Bockstein) at an odd prime."""
     from .operations import apply_operation, bockstein, power
 
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
     try:
         op = bockstein(prime) if use_bockstein else power(index, prime)
     except ValueError as exc:
@@ -175,10 +176,8 @@ def power_cmd(index, prime, use_bockstein, x, n, m, coeff, minus_one, characteri
 @click.option("-p", "degree", type=int, required=True, help="Cohomological degree.")
 @click.option("-q", "weight", type=int, required=True, help="Weight.")
 @ring_options
-@guarded
-def basis(degree, weight, n, m, coeff, minus_one, characteristic, fmt):
+def basis(pres, degree, weight, fmt):
     """List the basis lines of one graded piece."""
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
     size = _piece_size(pres, degree, weight)
     if size > MAX_BASIS_LINES:
         raise StiefelError(f"bidegree ({degree},{weight}) of W({pres.n},{pres.m}) has {size} "
@@ -203,10 +202,8 @@ def _piece_size(pres: StiefelPresentation, p: int, q: int) -> int:
 
 @main.command()
 @ring_options
-@guarded
-def series(n, m, coeff, minus_one, characteristic, fmt):
+def series(pres, fmt):
     """Print the bigraded Poincare polynomial of H(W(n, m))."""
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
     if fmt == "json":
         click.echo(json.dumps([{"p": bd.p, "q": bd.q, "count": c}
                                for bd, c in series_entries(pres)]))
@@ -222,14 +219,12 @@ def series(n, m, coeff, minus_one, characteristic, fmt):
 @click.option("--sigma", "sigma_text", default=None,
               help='Column permutation for "perm", e.g. "2,1,3".')
 @ring_options
-@guarded
-def map_cmd(label, x, m_big, sigma_text, n, m, coeff, minus_one, characteristic, fmt):
+def map_cmd(pres, label, x, m_big, sigma_text, fmt):
     """Apply one of the induced ring maps to an element of its source."""
     from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
                        projection_pullback, symmetry_pullback)
 
-    pres = build_presentation(n, m, coeff, minus_one, characteristic)
-    ring, profile = pres.ring, pres.profile
+    n, ring, profile = pres.n, pres.ring, pres.profile
     if label == "proj":
         if m_big is None:
             raise click.UsageError("the projection pullback needs --m-big")

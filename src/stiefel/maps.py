@@ -201,16 +201,19 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     and 2-torsion generators mixed), computed by exact integer linear
     algebra on the graded piece: reduce_table turns each source line's image
     into a column, of modulus R at k = 0 and twisted_modulus above.  With no
-    target line there is nothing to eliminate.  Generator-level maps are rejected.
+    target line there is nothing to eliminate.  Kernel vectors are read out by
+    the source lines' keys, with no codec.  Generator-level maps are rejected.
     """
     if f.generator_level_only:
         raise SpanError("kernel computation needs a map defined on the whole ring")
-    src_lines = f.source.lines(bd)
+    source = f.source
+    src_lines = source.lines(bd)
     if not src_lines:
         return []
     tgt_lines = f.target.lines(bd)
+    # source and target share the ring and profile
+    ring, profile = source.ring, source.profile
     if tgt_lines:
-        ring, profile = f.target.ring, f.target.profile
         twisted = twisted_modulus(ring, profile)
         encode, decode = f.target.codec()[:2]
         index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
@@ -222,15 +225,15 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
                         raise AssertionError(
                             f"image term {(decode(code), k)} missed the graded piece {bd}")
                     rows[index[code, k]][col] = value
-        # source and target share the ring and profile
         src_moduli = [ring.modulus if k == 0 else twisted for _, k in src_lines]
         tgt_moduli = [ring.modulus if k == 0 else twisted for _, k in tgt_lines]
         vectors = [vector for vector, _order in module_kernel(rows, src_moduli, tgt_moduli)]
     else:
         # the map is zero on the piece, so every source line is in the kernel
         vectors = [{col: 1} for col in range(len(src_lines))]
-    # a monomial fixes its k in a graded piece, so the codes are distinct
-    encode = f.source.codec()[0]
-    return [f.source.from_table({encode(src_lines[c][0]): {src_lines[c][1]: value}
-                                 for c, value in vector.items()})
+    # module_kernel's entries are reduced and nonzero, and a monomial fixes
+    # its k in a graded piece, so the keys are distinct
+    unchecked = MCoefficient._unchecked
+    return [source._from_terms([(src_lines[c][0], unchecked(ring, profile, {src_lines[c][1]: v}))
+                                for c, v in vector.items()])
             for vector in vectors]

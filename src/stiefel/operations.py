@@ -18,8 +18,9 @@ positive degree; {-1}-powers attached to a monomial ride along as scalars.
 
 The Cartan sum runs on plain integers.  Each call first tabulates the
 nonzero generator values (b, rho_target bit, binomial) for the generators
-of its input; since target = j + b(p-1) must stay <= n, a table row has at
-most (n - j)/(p - 1) + 1 entries however large the index.  The recursion
+of its input, read off its monomial tuples; since target = j + b(p-1)
+must stay <= n, a table row has at most (n - j)/(p - 1) + 1 entries
+however large the index.  The recursion
 (_cartan) maps a monomial bitmask and a degree to {mask: {power of {-1}:
 integer}}, multiplies by one generator value per step through
 algebra._normal_word, and reduces each cache entry it builds with one
@@ -38,7 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import Element, StiefelPresentation, _monomial, _normal_word, table_product
+from .algebra import Element, StiefelPresentation, _normal_word, table_product
 from .coefficients import (Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime,
                            reduce_table, twisted_modulus)
 from .errors import InadmissibleOperation, InvalidGenerator
@@ -170,7 +171,7 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     twisted = twisted_modulus(pres.ring, pres.profile)
     _, _, product, nil = pres.codec()
     terms = pres.table(x)
-    table = _generator_table(n, p, index, terms)
+    table = _generator_table(n, p, index, x.terms)
     cache: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     acc: dict[int, dict[int, int]] = {}
     for mask, powers in terms.items():
@@ -180,16 +181,17 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     return pres.from_table(acc)
 
 
-def _generator_table(n: int, p: int, index: int, masks) -> dict[int, list]:
+def _generator_table(n: int, p: int, index: int, terms) -> dict[int, list]:
     """table[j] lists (b, 1 << target, c) for the nonzero values
     Sq^{2b}(rho_j) or P^b(rho_j) = c rho_target, b <= index, ascending in b,
-    for every generator j of the monomial bitmasks.
+    for every generator j of the monomials of the (monomial, coefficient)
+    terms, read off the tuples rather than decoded from bitmasks.
 
     target = j + b (p - 1), so b stops at (n - j) // (p - 1): the table
     costs at most index + 1 binomials per generator, and none beyond n."""
     step = p - 1
     table: dict[int, list] = {}
-    for j in {j for mask in masks for j in _monomial(mask)}:
+    for j in {j for mono, _ in terms for j in mono}:
         row = table[j] = []
         for b in range(min(index, (n - j) // step) + 1):
             c = binom_mod(j - 1, b, p)

@@ -17,17 +17,10 @@ def _power(base: str, k: int, latex: bool) -> str:
 
 
 def _coeff_text(terms, latex: bool) -> str:
-    """The text of a coefficient given by its (k, value) terms."""
+    """The text of a coefficient given by its (k, value) terms.  A positive
+    {-1}-power has its value in R/2R, so it is 1 and not printed."""
     minus_one = r"\{-1\}" if latex else "{-1}"
-    parts = []
-    for k, v in terms:
-        if k == 0:
-            parts.append(str(v))
-            continue
-        piece = _power(minus_one, k, latex)
-        if v != 1:
-            piece = f"{v} {piece}" if not latex else f"{v}{piece}"
-        parts.append(piece)
+    parts = [str(v) if k == 0 else _power(minus_one, k, latex) for k, v in terms]
     return " + ".join(parts) if parts else "0"
 
 

@@ -91,6 +91,10 @@ class TestMultiply:
         assert 2 * pres.gen(2) == pres.gen(2) + pres.gen(2)
         assert pres.gen(2) * 0 == pres.zero()
 
+    def test_float_factor_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            gl(3).gen(2) * 1.5
+
     def test_unit_is_identity(self):
         pres = gl(4)
         x = random_element(pres, None, seed=5)

@@ -100,6 +100,11 @@ class TestMul:
         result = run("mul", "bogus", "r2", "-n", "3", "-m", "3")
         assert result.exit_code == 2
 
+    def test_zero_token(self):
+        result = run("mul", "0", "r2", "-n", "3", "--format", "json")
+        assert result.exit_code == 0
+        assert not element_from_json(result.output)
+
     def test_generator_out_of_range(self):
         result = run("mul", "r9", "r2", "-n", "3", "-m", "3")
         assert result.exit_code == 3
@@ -161,6 +166,28 @@ class TestBadCharacteristic:
         assert result.exit_code == 2
         assert result.output.splitlines()[-1] == (
             f"Error: the characteristic of a field is 0 or a prime, got {char}")
+
+
+# each ring command with arguments of its own that fail too, so that the
+# presentation's error must come first
+RING_COMMANDS = {
+    "present": [], "mul": ["bad", "bad"], "sq": ["-i", "-1", "bad"],
+    "power": ["-p", "4", "bad"], "basis": ["-p", "1", "-q", "1"], "series": [],
+    "map": ["proj", "bad"],
+}
+BAD_RINGS = [
+    (["-n", "2", "-m", "3"], "Error: m > n: a full-rank 2x3 matrix cannot exist"),
+    (["-n", "2", "--coeff", "Z/1"], "Error: modulus must be 0 (meaning Z) or at least 2, got 1"),
+    (["-n", "2", "--char", "4"], "Error: the characteristic of a field is 0 or a prime, got 4"),
+]
+
+
+@pytest.mark.parametrize("command", list(RING_COMMANDS))
+@pytest.mark.parametrize("ring_args, message", BAD_RINGS, ids=["m", "coeff", "char"])
+def test_bad_ring_options_are_usage_errors(command, ring_args, message):
+    result = run(command, *RING_COMMANDS[command], *ring_args)
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == message
 
 
 class TestBasisAndSeries:

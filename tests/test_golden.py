@@ -2,14 +2,15 @@
 
 Each group renders a fixed, seeded set of requests to text and compares
 the sha256 of that text with a digest recorded from a known-good build: CLI
-text, JSON and LaTeX output, the JSON wire format, products and sums in
-both rings, Tate lines and random elements, operations, comparison-map
-images, the graded-piece kernels of every total built-in map and of
-random multi-term maps, every suite verdict with its case count, the
-(ok, message) of every check the suites make, and the failures they report
-under a planted failure rule.  A refactor that is meant to change no output
-must leave every digest as it is.  `python tests/test_golden.py [GROUP ...]`
-prints the current digests of the named groups, or of all of them.
+text, JSON and LaTeX output, the --help text of every command, the JSON
+wire format, products and sums in both rings, Tate lines and random
+elements, operations, comparison-map images, the graded-piece kernels of
+every total built-in map and of random multi-term maps, every suite
+verdict with its case count, the (ok, message) of every check the suites
+make, and the failures they report under a planted failure rule.  A
+refactor that is meant to change no output must leave every digest as it
+is.  `python tests/test_golden.py [GROUP ...]` prints the current digests
+of the named groups, or of all of them.
 """
 
 from __future__ import annotations
@@ -256,6 +257,16 @@ def group_cli_json_elements() -> list[str]:
     return out
 
 
+def group_help() -> list[str]:
+    """The --help text of the group and of each of its commands, at a fixed width."""
+    runner = CliRunner()
+    out = []
+    for argv in ([], *([name] for name in main.commands)):
+        result = runner.invoke(main, [*argv, "--help"], terminal_width=80)
+        out.append(f"{' '.join(argv)} -> {result.exit_code}\n{result.output}")
+    return out
+
+
 GROUPS = {
     "check": group_check,
     "stiefel-arithmetic": group_stiefel_arithmetic,
@@ -267,6 +278,7 @@ GROUPS = {
     "kernels": group_kernels,
     "suite-cases": group_suite_cases,
     "suite-failures": group_suite_failures,
+    "help": group_help,
 }
 
 GOLDEN = {
@@ -280,6 +292,7 @@ GOLDEN = {
     "kernels": "65fb22a8d10b50643529f16c94cc51d0a55129c000239468a7764b48c2eec3d8",
     "suite-cases": "82b04be9a10fdf121800a59cae49b4540adc5870b4c103c9c51acdb04870c73b",
     "suite-failures": "1dc00d00a5714ce61227f952dea2398c0401ce8c84a40de8e8f502ed213b1eff",
+    "help": "7d9ee36296c9a81c6258f03fd810fa4fe27ca5a9bc5251f62d4ff2e1e02ac777",
 }
 
 

@@ -247,6 +247,12 @@ class TestModuleKernel:
     def test_no_columns(self):
         assert module_kernel([[], []], [], [2, 4]) == []
 
+    @pytest.mark.parametrize("tgt", [0, 3], ids=["free", "torsion"])
+    def test_rejects_a_matrix_that_is_not_a_map(self, tgt):
+        # Z/2 -> Z and Z/2 -> Z/3, x -> x: 2 e_0 is not sent to 0
+        with pytest.raises(ValueError, match="does not send the source relations"):
+            linalg.module_kernel([{0: 1}], [2], [tgt])
+
     def test_sparse_row_forms(self):
         # rows that leave out zeros, rows that spell them out, and empty rows
         # give the same generators; the vectors hold no zero entry and no
