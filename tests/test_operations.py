@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 
 import pytest
 
@@ -297,6 +298,25 @@ class TestKernelAgainstReference:
                             == element_to_json(reference_apply(reference_cartan(op, pres), op, x))), \
                         (op.describe(), pres, seed)
                     assert Element(y.pres, y.terms) == y
+
+    def test_deep_contractions(self, context):
+        # GL(17) holds the chain rho_2 -> rho_3 -> rho_5 -> rho_9 -> rho_17 of
+        # squarings rho_i^2 = {-1} rho_{2i-1}, deeper than any W(n <= 8, m)
+        p, profile, ops = OPERATION_GRID[context]
+        pres = StiefelPresentation(17, 17, CoeffRing(p), profile)
+        rng = random.Random(17)
+        monos = [(2, 3, 5, 9, 17), (1, 2, 3, 5, 9), (2, 3, 4, 5, 8, 9, 16, 17)]
+        monos += [tuple(sorted(rng.sample(range(1, 18), rng.randint(3, 9)))) for _ in range(6)]
+        xs = [pres.monomial(mono, MCoefficient.minus_one(pres.ring, profile, k))
+              for mono in monos for k in range(2)]
+        mixed = MCoefficient(pres.ring, profile, ((0, 1), (1, 1), (2, 1)))
+        xs.append(sum((pres.monomial(mono, mixed) for mono in monos), pres.zero()))
+        for op in ops:
+            cartan = reference_cartan(op, pres)
+            for x in xs:
+                y = apply_operation(op, x)
+                assert y == reference_apply(cartan, op, x), (op.describe(), x)
+                assert Element(y.pres, y.terms) == y
 
 
 def reduced_power(i, p):
