@@ -12,6 +12,8 @@ field, {-1} itself vanishes and all positive powers are dropped.
 
 twisted_modulus and reduce_table own that rule for computed tables; the
 validating MCoefficient constructor, their oracle, applies it on its own.
+The Steenrod kernel (operations._cartan) reads twisted_modulus to keep one
+int per coefficient over Z/p: a bitset of {-1}-powers, or a residue mod p.
 """
 
 from __future__ import annotations

@@ -20,14 +20,15 @@ The Cartan sum runs on plain integers.  Each call first tabulates the
 nonzero generator values (b, rho_target bit, binomial) for the generators
 of its input, read off its monomial tuples; since target = j + b(p-1)
 must stay <= n, a table row has at most (n - j)/(p - 1) + 1 entries
-however large the index.  The recursion
-(_cartan) maps a monomial bitmask and a degree to {mask: {power of {-1}:
-integer}}, multiplies by one generator value per step through
-algebra._normal_word, and reduces each cache entry it builds with one
-coefficients.reduce_table call: the one key product outside
-algebra.table_product, which folds in the input's coefficients before
-Presentation.from_table builds the one Element of the result.  Like
-table_product, it skips products meeting in the codec's square-zero mask.
+however large the index.  The recursion (_cartan) maps a monomial bitmask
+and a degree to {mask: int}, multiplying by one generator value per step:
+over Z/p one int holds a whole coefficient, a bitset of the Z/2
+coefficients of the {-1}-powers when they survive (then p = 2), and
+otherwise a residue mod p.  _apply_stiefel turns each value into a
+{mask: {power of {-1}: int}} table and folds in the input's coefficients
+by algebra.table_product, before Presentation.from_table builds the one
+Element of the result.  Both skip products meeting in the codec's
+square-zero mask.
 
 On the Tate target the squares act through the projective-space formula
 Sq^{2i}(eta^e) = binom(e, i) eta^{e+i} with sigma passing through, since
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from .algebra import Element, StiefelPresentation, _normal_word, table_product
 from .coefficients import (Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime,
-                           reduce_table, twisted_modulus)
+                           twisted_modulus)
 from .errors import InadmissibleOperation, InvalidGenerator
 
 
@@ -172,12 +173,17 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     _, _, product, nil = pres.codec()
     terms = pres.table(x)
     table = _generator_table(n, p, index, x.terms)
-    cache: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    cache: dict[tuple[int, int], dict[int, int]] = {}
     acc: dict[int, dict[int, int]] = {}
     for mask, powers in terms.items():
-        # the coefficient multiplies as a table on the unit key
         value = _cartan(cache, table, n, nil, p, twisted, mask, index)
-        table_product(n, product, nil, value, {0: powers}, acc)
+        if twisted == 2:
+            rows = {a: {e: 1 for e in range(v.bit_length()) if v >> e & 1}
+                    for a, v in value.items()}
+        else:
+            rows = {a: {0: v} for a, v in value.items()}
+        # the coefficient multiplies as a table on the unit key
+        table_product(n, product, nil, rows, {0: powers}, acc)
     return pres.from_table(acc)
 
 
@@ -201,41 +207,57 @@ def _generator_table(n: int, p: int, index: int, terms) -> dict[int, list]:
 
 
 def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
-            twisted: int, mask: int, k: int) -> dict[int, dict[int, int]]:
+            twisted: int, mask: int, k: int) -> dict[int, int]:
     """The degree-k operation on the monomial with bitmask mask, as
-    {mask: {power of {-1}: coefficient}}, by the Cartan sum over its last
-    generator.
+    {mask: int}, by the Cartan sum over its last generator.
 
-    Each cache entry is reduced as a whole by reduce_table when it is built,
-    so cancelled monomials stop propagating.  The cache is keyed by
+    The ring is Z/p, and twisted (twisted_modulus) is 2 only for an even
+    modulus.  So when it is 2, p is 2 and the int is a bitset whose bit e is
+    the Z/2 coefficient of {-1}^e: signs and nonzero binomials are 1, a
+    disjoint product adds by xor, and a contraction by _normal_word adds
+    the bitset shifted by its twist.  When it is 1, every positive
+    {-1}-power vanishes, so the int is the coefficient mod p and products
+    that contract are skipped; the sign of a disjoint product with the one
+    bit of a generator value is the parity of the generators of a above
+    it, as in _normal_word.  Each cache entry drops its zeros when it is
+    built, so cancelled monomials stop propagating.  The cache is keyed by
     (mask, k) and owned by the caller."""
     if not mask:
-        return {0: {0: 1}} if k == 0 else {}
+        return {0: 1} if k == 0 else {}
     key = (mask, k)
     value = cache.get(key)
     if value is not None:
         return value
     last = mask.bit_length() - 1
     head = mask ^ (1 << last)
-    acc: dict[int, dict[int, int]] = {}
+    acc: dict[int, int] = {}
     for b, bit, c in table[last]:
         if b > k:
             break
-        for a, powers in _cartan(cache, table, n, nil, p, twisted, head, k - b).items():
-            if a & bit & nil:
-                continue
-            nf = _normal_word(n, a, bit)
-            if nf is None:
-                continue
-            prod, sign, twist = nf
-            dst = acc.get(prod)
-            if dst is None:
-                dst = acc[prod] = {}
-            sc = sign * c
-            for e, v in powers.items():
-                e += twist
-                dst[e] = dst.get(e, 0) + v * sc
-    value = cache[key] = reduce_table(acc, p, twisted)
+        values = _cartan(cache, table, n, nil, p, twisted, head, k - b).items()
+        if twisted == 2:
+            for a, v in values:
+                if a & bit:
+                    if a & bit & nil:
+                        continue
+                    nf = _normal_word(n, a, bit)
+                    if nf is None:
+                        continue
+                    a, _, twist = nf
+                    v <<= twist
+                else:
+                    a |= bit
+                acc[a] = acc.get(a, 0) ^ v
+        else:
+            above = bit.bit_length()
+            for a, v in values:
+                if a & bit:
+                    continue
+                if (a >> above).bit_count() & 1:
+                    v = -v
+                a |= bit
+                acc[a] = (acc.get(a, 0) + c * v) % p
+    value = cache[key] = {a: v for a, v in acc.items() if v}
     return value
 
 
@@ -243,12 +265,12 @@ def _apply_tate(op: Operation, x: Element) -> Element:
     """An even operation on a Tate-target element: binom(e, k) eta^{e+step}."""
     pres = x.pres
     k = op.index
+    step = k if op.kind is OperationKind.SQUARE else k * (op.prime - 1)
     terms = []
     for (s, e), c in x.terms:
         coeff = binom_mod(e, k, op.prime)
         if not coeff:
             continue
-        step = k if op.kind is OperationKind.SQUARE else k * (op.prime - 1)
         if e + step >= pres.n:
             continue
         terms.append(((s, e + step), c * coeff))

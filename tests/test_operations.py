@@ -10,7 +10,6 @@ from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import InadmissibleOperation, InvalidGenerator
 from stiefel.operations import (Operation, OperationKind, apply_operation, bockstein, power,
                                 power_on_generator, sq_on_generator, square)
-from stiefel.serialize import element_to_json
 from stiefel.targets import PGmPresentation
 
 PLAIN = FieldProfile()
@@ -280,9 +279,7 @@ class TestKernelAgainstReference:
                     for k in range(3):
                         x = pres.monomial(mono, MCoefficient.minus_one(pres.ring, pres.profile, k))
                         y = apply_operation(op, x)
-                        assert (element_to_json(y)
-                                == element_to_json(reference_apply(cartan, op, x))), \
-                            (op.describe(), pres, mono, k)
+                        assert y == reference_apply(cartan, op, x), (op.describe(), pres, mono, k)
                         assert Element(y.pres, y.terms) == y
 
     def test_seeded_sums(self, context):
@@ -294,8 +291,7 @@ class TestKernelAgainstReference:
                 x = x * random_element(pres, None, seed=1000 + seed) + x
                 for op in ops:
                     y = apply_operation(op, x)
-                    assert (element_to_json(y)
-                            == element_to_json(reference_apply(reference_cartan(op, pres), op, x))), \
+                    assert y == reference_apply(reference_cartan(op, pres), op, x), \
                         (op.describe(), pres, seed)
                     assert Element(y.pres, y.terms) == y
 
