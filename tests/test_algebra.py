@@ -4,10 +4,12 @@ from collections import Counter
 
 import pytest
 
-from stiefel.algebra import (Element, StiefelPresentation, _normal_word, all_monomials,
-                             basis_element, basis_in_bidegree, monomial_bidegree,
-                             poincare_polynomial, random_element, table_product)
-from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
+from stiefel.algebra import (Element, StiefelPresentation, _mask, _monomial, _normal_word,
+                             all_monomials, basis_element, basis_in_bidegree,
+                             monomial_bidegree, poincare_polynomial, random_element,
+                             table_product)
+from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_table,
+                                  twisted_modulus)
 from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation
 from stiefel.suites import rewrite_outcomes
 from stiefel.targets import PGmPresentation
@@ -60,6 +62,17 @@ class TestBidegrees:
 
     def test_product(self):
         assert monomial_bidegree((2, 3)) == Bidegree(8, 5)
+
+    @pytest.mark.parametrize("pres", [gl(7), gl(6, CoeffRing(4)), StiefelPresentation(9, 5),
+                                      PGmPresentation(6), PGmPresentation(5, CoeffRing(2))])
+    def test_element_bidegrees_per_key_and_power(self, pres):
+        for seed in range(40):
+            x = random_element(pres, seed=seed)
+            expected = {Bidegree(*pres.key_bidegree(key)) + (k, k)
+                        for key, c in x.terms for k, _ in c.terms}
+            got = x.bidegrees()
+            assert got == expected
+            assert all(type(bd) is Bidegree for bd in got)
 
 
 class TestMultiply:
@@ -408,6 +421,23 @@ class TestBitmaskKernel:
         for n in range(1, 6):
             assert PGmPresentation(n).codec()[3] == 0
 
+    def test_monomial_decode_matches_bit_loop(self):
+        def reference(mask):
+            out = []
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+            return tuple(out)
+
+        rng = random.Random(2026)
+        masks = itertools.chain(range(1 << 16),
+                                (rng.getrandbits(rng.randint(1, 130)) for _ in range(20_000)))
+        for mask in masks:
+            mono = _monomial(mask)
+            assert mono == reference(mask), mask
+            assert _mask(mono) == mask
+
     def test_rho1_square(self):
         # rho_1^2 = {-1} rho_1
         assert _normal_word(3, _bits((1,)), _bits((1,))) == (_bits((1,)), 1, 1)
@@ -441,3 +471,49 @@ class TestBitmaskKernel:
                 z = x * y
                 assert z == _reference_product(x, y)
                 assert Element(z.pres, z.terms) == z
+
+
+def _expected_table(nf, modulus, twisted):
+    """The reduced table of a reference normal form (monomial, sign, twist)
+    or None, reduced by hand: power 0 in R, a positive power in Z/twisted,
+    where -1 = 1."""
+    if nf is None:
+        return {}
+    mono, sign, twist = nf
+    value = (sign % modulus if modulus else sign) if twist == 0 else 1 % twisted
+    return {_bits(mono): {twist: value}} if value else {}
+
+
+class TestRingLawsExhaustive:
+    # Every monomial triple x, y, z of GL(n <= 5): (x y) z and x (y z)
+    # equal the list normal form of the concatenated word, and so does
+    # (-1)^{|x| |yz|} (y z) x (graded commutativity; z = 1 covers every
+    # pair).  The degree of rho_I is |I| mod 2; a product that contracts
+    # carries a positive {-1}-power, whose coefficient lies in R/2R, so its
+    # sign does not matter.  GL(6)'s 2^18 triples would cost more than the
+    # tier-1 budget allows.
+    @pytest.mark.parametrize("ring", [Z, CoeffRing(3)])
+    def test_every_monomial_triple_up_to_gl5(self, ring):
+        modulus, twisted = ring.modulus, twisted_modulus(ring, PLAIN)
+        for n in range(1, 6):
+            pres = gl(n, ring)
+            _, _, product, nil = pres.codec()
+
+            def mul(xs, ys):
+                return reduce_table(table_product(n, product, nil, xs, ys, {}), modulus, twisted)
+
+            monos = all_monomials(pres)
+            masks = [_bits(mono) for mono in monos]
+            single = {a: {a: {0: 1}} for a in masks}
+            pairs = {(a, b): mul(single[a], single[b]) for a in masks for b in masks}
+            for m1, a in zip(monos, masks):
+                for m2, b in zip(monos, masks):
+                    ab = pairs[a, b]
+                    for m3, c in zip(monos, masks):
+                        bc = pairs[b, c]
+                        expected = _expected_table(_reference_normal_word(n, m1 + m2 + m3),
+                                                   modulus, twisted)
+                        sign = -1 if len(m1) * (len(m2) + len(m3)) % 2 else 1
+                        assert mul(ab, single[c]) == expected, (n, m1, m2, m3)
+                        assert mul(single[a], bc) == expected, (n, m1, m2, m3)
+                        assert mul(bc, {a: {0: sign}}) == expected, (n, m1, m2, m3)
