@@ -14,7 +14,11 @@ Products encode each monomial as an int bitmask, bit i standing for rho_i.
 Two disjoint monomials multiply as in an exterior algebra, with the sign
 given by the parity of the crossing pairs; overlapping ones are contracted
 by the squaring rule (see _normal_word).  Pairs sharing a bit of the codec's
-square-zero mask nil (rho_i with 2i-1 > n) are zero and skipped before _normal_word.
+zero mask nil multiply to zero, or to a {-1}-power that vanishes in the ring,
+and are skipped before _normal_word.  nil holds the rho_i with 2i-1 > n, or
+every bit when coefficients.twisted_modulus is 1, since every overlap then
+contracts to a vanishing {-1}-power.  The codec reads twisted_modulus, so
+twisted_modulus and reduce_table stay the one owner of the torsion rule.
 
 Element is the element type of every computed ring: it reads the keys and
 their product from a Presentation, here StiefelPresentation and, for the
@@ -53,8 +57,9 @@ class Presentation:
     term_order(term) (the sort key of a (key, coefficient) term of the
     normal form), key_bidegree(key), codec() (encode and decode between
     keys and ints, product(n, a, b) giving (code, sign, twist) or None
-    for zero, and the square-zero mask nil: codes a, b with a & b & nil
-    multiply to zero), lines(bd) (the basis lines (key, k) of a graded piece),
+    for zero, and the zero mask nil: codes a, b with a & b & nil multiply
+    to zero, or to a {-1}-power that vanishes in the ring, as read from
+    twisted_modulus), lines(bd) (the basis lines (key, k) of a graded piece),
     random_key(rng), the JSON fields json_fields, key_fields,
     key_to_json(key) and key_from_json(entry), and unit_key.  The elements
     and the integer tables (table, from_table) below are the same in every ring.
@@ -68,12 +73,20 @@ class Presentation:
     def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
         """The element of a computed table, reduced by reduce_table and
         decoded.  Codec products of valid keys are valid and distinct, so
-        _from_terms checks nothing."""
+        _from_terms checks nothing.  Terms with equal rows share one
+        coefficient object, which lives no longer than the call."""
         decode, ring, profile = self.codec()[1], self.ring, self.profile
         unchecked = MCoefficient._unchecked
-        return self._from_terms([(decode(code), unchecked(ring, profile, powers))
-                                 for code, powers in reduce_table(
-                                     acc, ring.modulus, twisted_modulus(ring, profile)).items()])
+        shared: dict[tuple, MCoefficient] = {}
+        terms = []
+        for code, powers in reduce_table(acc, ring.modulus,
+                                         twisted_modulus(ring, profile)).items():
+            row = tuple(powers.items())
+            c = shared.get(row)
+            if c is None:
+                c = shared[row] = unchecked(ring, profile, powers)
+            terms.append((decode(code), c))
+        return self._from_terms(terms)
 
     def _from_terms(self, terms) -> "Element":
         """The element of (key, coefficient) terms with valid, distinct keys
@@ -171,6 +184,10 @@ class StiefelPresentation(Presentation):
         return len(term[0]), term[0]
 
     def codec(self):
+        # rho_i^2 = 0 once 2i - 1 > n; when {-1} vanishes, every overlap
+        # contracts to a vanishing {-1}-power
+        if twisted_modulus(self.ring, self.profile) == 1:
+            return _mask, _monomial, _normal_word, -1
         return _mask, _monomial, _normal_word, -1 << ((self.n + 1) // 2 + 1)
 
     def lines(self, bd) -> list[tuple[Monomial, int]]:
@@ -261,15 +278,20 @@ class Element:
     def bidegrees(self) -> set[Bidegree]:
         """Bidegrees of the homogeneous constituents, one per key and
         {-1}-power (a single {-1}^k factor contributes (k, k))."""
-        return {self.pres.key_bidegree(key) + (k, k) for key, c in self.terms
-                for k, _ in c.terms}
+        key_bidegree = self.pres.key_bidegree
+        out = set()
+        for key, c in self.terms:
+            p, q = key_bidegree(key)
+            out.update(Bidegree(p + k, q + k) for k, _ in c.terms)
+        return out
 
 
 def table_product(n: int, product, nil: int, xs: dict[int, dict[int, int]],
                   ys: dict[int, dict[int, int]], acc: dict) -> dict:
     """Add xs * ys into the table acc and return it; product and nil are the
-    codec's key product and square-zero mask, and pairs meeting in nil are
-    skipped.  Sums stay unreduced in Z[{-1}] (reduction is a homomorphism)."""
+    codec's key product and zero mask, and pairs meeting in nil, whose
+    product is zero or carries a vanishing {-1}-power, are skipped.  Sums
+    stay unreduced in Z[{-1}] (reduction is a homomorphism)."""
     ys = list(ys.items())
     for a, t1 in xs.items():
         clash = a & nil
@@ -297,14 +319,24 @@ def _mask(mono: Monomial) -> int:
     return sum(1 << i for i in mono)
 
 
+# _monomial's decode table: the indices of the set bits of each byte value
+# at each byte position, keyed by 256 * position + byte; filled on first use
+_BYTE_ROWS: dict[int, Monomial] = {}
+
+
 def _monomial(mask: int) -> Monomial:
-    """Inverse of _mask."""
-    out = []
+    """Inverse of _mask, read one byte at a time through _BYTE_ROWS."""
+    out = ()
+    base = 0
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        key = base | mask & 255
+        row = _BYTE_ROWS.get(key)
+        if row is None:
+            row = _BYTE_ROWS[key] = tuple(base // 32 + i for i in range(8) if mask >> i & 1)
+        out += row
+        mask >>= 8
+        base += 256
+    return out
 
 
 def _normal_word(n: int, a: int, b: int) -> tuple[int, int, int] | None:
@@ -323,7 +355,8 @@ def _normal_word(n: int, a: int, b: int) -> tuple[int, int, int] | None:
     sign is tracked once a contraction happens: the result then carries
     {-1}^twist with twist >= 1, whose coefficients lie in R/2R, where
     -1 = 1, so sign 1 is returned.  Callers skip the pairs meeting in the
-    square-zero mask; such a pair still gives None, by the j > n test.
+    codec's zero mask; a direct call on a pair with rho_i^2 = 0 still gives
+    None, by the j > n test.
     """
     twice = a & b
     if not twice:

@@ -27,8 +27,8 @@ coefficients of the {-1}-powers when they survive (then p = 2), and
 otherwise a residue mod p.  _apply_stiefel turns each value into a
 {mask: {power of {-1}: int}} table and folds in the input's coefficients
 by algebra.table_product, before Presentation.from_table builds the one
-Element of the result.  Both skip products meeting in the codec's
-square-zero mask.
+Element of the result.  Both skip products meeting in the codec's zero
+mask (pairs whose product is zero or carries a vanishing {-1}-power).
 
 On the Tate target the squares act through the projective-space formula
 Sq^{2i}(eta^e) = binom(e, i) eta^{e+i} with sigma passing through, since

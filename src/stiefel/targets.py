@@ -97,7 +97,8 @@ class PGmPresentation(Presentation):
     term_order = staticmethod(itemgetter(0))
 
     def codec(self):
-        return _encode, _decode, _key_product, 0
+        # sigma^2 = {-1} sigma vanishes with {-1}
+        return _encode, _decode, _key_product, int(twisted_modulus(self.ring, self.profile) == 1)
 
     def lines(self, bd) -> list[tuple[PGmKey, int]]:
         return basis_in_bidegree(self, bd)

@@ -421,6 +421,42 @@ class TestBitmaskKernel:
         for n in range(1, 6):
             assert PGmPresentation(n).codec()[3] == 0
 
+    @pytest.mark.parametrize("ring,profile", [
+        (CoeffRing(3), PLAIN), (CoeffRing(5), PLAIN),
+        (Z, FieldProfile(minus_one_is_square=True)),
+        (CoeffRing(2), FieldProfile(minus_one_is_square=True))])
+    def test_zero_mask_covers_every_overlap_when_minus_one_vanishes(self, ring, profile):
+        # every overlap contracts, and every {-1}-power it leaves vanishes,
+        # so skipping all overlapping pairs changes no reduced product
+        assert twisted_modulus(ring, profile) == 1
+        x_powers, y_powers = {0: -2, 1: 1, 3: 1}, {0: 1, 2: 1}
+        skipped = 0
+        for n in range(1, 9):
+            pres = StiefelPresentation(n, n, ring, profile)
+            _, _, product, nil = pres.codec()
+            assert nil == -1
+            narrow = -1 << ((n + 1) // 2 + 1)
+            masks = [_bits(mono) for mono in all_monomials(pres)]
+            for a in masks:
+                for b in masks:
+                    skipped += bool(a & b)
+                    tables = [reduce_table(table_product(n, product, mask, {a: x_powers},
+                                                         {b: y_powers}, {}), ring.modulus, 1)
+                              for mask in (nil, narrow)]
+                    assert tables[0] == tables[1], (n, a, b)
+            tate = PGmPresentation(n, ring, profile)
+            encode, _, key_product, tate_nil = tate.codec()
+            assert tate_nil == 1
+            codes = [encode((s, e)) for s in (0, 1) for e in range(n)]
+            for a in codes:
+                for b in codes:
+                    tables = [reduce_table(table_product(n, key_product, mask, {a: x_powers},
+                                                         {b: y_powers}, {}), ring.modulus, 1)
+                              for mask in (tate_nil, 0)]
+                    assert tables[0] == tables[1], (n, a, b)
+        assert skipped > 50_000
+        assert PGmPresentation(4, CoeffRing(3)).codec()[3] == 1
+
     def test_monomial_decode_matches_bit_loop(self):
         def reference(mask):
             out = []
