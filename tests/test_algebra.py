@@ -68,7 +68,7 @@ class TestBidegrees:
     def test_element_bidegrees_per_key_and_power(self, pres):
         for seed in range(40):
             x = random_element(pres, seed=seed)
-            expected = {Bidegree(*pres.key_bidegree(key)) + (k, k)
+            expected = {pres.key_bidegree(key) + (k, k)
                         for key, c in x.terms for k, _ in c.terms}
             got = x.bidegrees()
             assert got == expected
