@@ -553,3 +553,52 @@ class TestRingLawsExhaustive:
                         assert mul(ab, single[c]) == expected, (n, m1, m2, m3)
                         assert mul(single[a], bc) == expected, (n, m1, m2, m3)
                         assert mul(bc, {a: {0: sign}}) == expected, (n, m1, m2, m3)
+
+
+# Coefficient shapes for the packed-coefficient pins: c_0 alone, c_0 with
+# {-1}-powers 1..3, and {-1}-powers alone.  Each context normalizes them.
+_COEFF_SHAPES = (((0, 3),), ((0, -2), (1, 1)), ((1, 1), (3, 1)), ((0, 5), (2, 1), (3, 1)),
+                 ((0, 1),), ((2, 1),), ((0, -7), (1, 1), (2, 1), (3, 1)), ((0, 2), (3, 1)))
+_CONTEXTS = [(ring, profile) for ring in (Z, CoeffRing(2), CoeffRing(3), CoeffRing(4))
+             for profile in (PLAIN, FieldProfile(minus_one_is_square=True))]
+
+
+class TestElementProductsExhaustive:
+    # Element products of single terms, against the list normal form and
+    # validating MCoefficient arithmetic, in every context of Z, Z/2, Z/3
+    # and Z/4 with and without {-1} a square.  The reference normal form of
+    # each monomial pair is computed once and shared by the contexts.
+
+    @staticmethod
+    def _check_pairs(n, monos, contexts):
+        words = {(m1, m2): _reference_normal_word(n, m1 + m2) for m1 in monos for m2 in monos}
+        for ring, profile in contexts:
+            pres = gl(n, ring, profile)
+            coeffs = [MCoefficient(ring, profile, shape) for shape in _COEFF_SHAPES]
+            xs = [pres.monomial(m, coeffs[i % len(coeffs)]) for i, m in enumerate(monos)]
+            ys = [pres.monomial(m, coeffs[(3 * i + 1) % len(coeffs)]) for i, m in enumerate(monos)]
+            for m1, x in zip(monos, xs):
+                for m2, y in zip(monos, ys):
+                    nf = words[m1, m2]
+                    if nf is None:
+                        expected = pres.zero()
+                    else:
+                        mono, sign, twist = nf
+                        c = x.terms[0][1] * y.terms[0][1] if x and y else None
+                        expected = pres.zero() if c is None else \
+                            pres.monomial(mono, (c if sign > 0 else -c).shift(twist))
+                    got = x * y
+                    assert got == expected, (ring, profile, m1, m2)
+                    assert repr(got) == repr(expected), (ring, profile, m1, m2)
+
+    def test_every_monomial_pair_up_to_gl6(self):
+        for n in range(1, 7):
+            self._check_pairs(n, all_monomials(gl(n)), _CONTEXTS)
+
+    def test_contraction_chain_on_gl17(self):
+        # rho_2 -> rho_3 -> rho_5 -> rho_9 -> rho_17: twists up to 4 meet
+        # coefficients carrying {-1}-powers up to 3
+        chain = (2, 3, 5, 9, 17)
+        monos = [tuple(i for b, i in enumerate(chain) if mask >> b & 1)
+                 for mask in range(1 << len(chain))]
+        self._check_pairs(17, monos, _CONTEXTS)
