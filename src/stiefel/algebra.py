@@ -18,14 +18,13 @@ zero mask nil multiply to zero, or to a {-1}-power that vanishes in the ring,
 and are skipped before _normal_word.  nil holds the rho_i with 2i-1 > n, or
 every bit when coefficients.twisted_modulus is 1, since every overlap then
 contracts to a vanishing {-1}-power.  The codec reads twisted_modulus, so
-twisted_modulus and reduce_table stay the one owner of the torsion rule.
+twisted_modulus, pack and unpack stay the one owner of the torsion rule.
 
 Element is the element type of every computed ring: it reads the keys and
 their product from a Presentation, here StiefelPresentation and, for the
 Tate target, targets.PGmPresentation.  Products, ring maps and the
-Steenrod kernel's input fold multiply {code: {power of {-1}: int}} tables
-in table_product, and Presentation.from_table builds their results after
-one coefficients.reduce_table pass over the whole table.
+Steenrod kernel's input fold multiply {code: packed coefficient} tables
+(coefficients.pack) in table_product; Presentation.from_table unpacks them.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_table,
-                           twisted_modulus)
+from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, pack,
+                           twisted_modulus, unpack)
 from .errors import (ContextMismatch, ElementParseError, InvalidGenerator,
                      InvalidPresentation, json_int)
 
@@ -57,35 +56,36 @@ class Presentation:
     term_order(term) (the sort key of a (key, coefficient) term of the
     normal form), key_bidegree(key), codec() (encode and decode between
     keys and ints, product(n, a, b) giving (code, sign, twist) or None
-    for zero, and the zero mask nil: codes a, b with a & b & nil multiply
-    to zero, or to a {-1}-power that vanishes in the ring, as read from
-    twisted_modulus), lines(bd) (the basis lines (key, k) of a graded piece),
+    for zero, the zero mask nil: codes a, b with a & b & nil multiply
+    to zero, or to a {-1}-power that vanishes in the ring, and
+    twisted_modulus, which picks the packed coefficient form of the
+    tables), lines(bd) (the basis lines (key, k) of a graded piece),
     random_key(rng), the JSON fields json_fields, key_fields,
     key_to_json(key) and key_from_json(entry), and unit_key.  The elements
     and the integer tables (table, from_table) below are the same in every ring.
     """
 
-    def table(self, x: "Element") -> dict[int, dict[int, int]]:
-        """x as {code: {power of {-1}: int}}."""
-        encode = self.codec()[0]
-        return {encode(key): dict(c.terms) for key, c in x.terms}
+    def table(self, x: "Element") -> dict:
+        """x as {code: packed coefficient} (coefficients.pack)."""
+        encode, _, _, _, twisted = self.codec()
+        return {encode(key): pack(c.terms, twisted) for key, c in x.terms}
 
-    def from_table(self, acc: dict[int, dict[int, int]]) -> "Element":
-        """The element of a computed table, reduced by reduce_table and
-        decoded.  Codec products of valid keys are valid and distinct, so
-        _from_terms checks nothing.  Terms with equal rows share one
-        coefficient object, which lives no longer than the call."""
-        decode, ring, profile = self.codec()[1], self.ring, self.profile
+    def from_table(self, acc: dict) -> "Element":
+        """The element of a computed {code: packed coefficient} table,
+        reduced by coefficients.unpack and decoded.  Codec products of valid
+        keys are valid and distinct, so _from_terms checks nothing.  Equal
+        packed values share one coefficient object, for this call only."""
+        _, decode, _, _, twisted = self.codec()
+        ring, profile, modulus = self.ring, self.profile, self.ring.modulus
         unchecked = MCoefficient._unchecked
-        shared: dict[tuple, MCoefficient] = {}
+        shared: dict = {}
         terms = []
-        for code, powers in reduce_table(acc, ring.modulus,
-                                         twisted_modulus(ring, profile)).items():
-            row = tuple(powers.items())
-            c = shared.get(row)
+        for code, value in acc.items():
+            c = shared.get(value)
             if c is None:
-                c = shared[row] = unchecked(ring, profile, powers)
-            terms.append((decode(code), c))
+                c = shared[value] = unchecked(ring, profile, unpack(value, modulus, twisted))
+            if c.terms:
+                terms.append((decode(code), c))
         return self._from_terms(terms)
 
     def _from_terms(self, terms) -> "Element":
@@ -167,7 +167,7 @@ class StiefelPresentation(Presentation):
             raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
         if 2 * i - 1 > self.n:
             return self.zero()
-        return self.minus_one() * self.gen(2 * i - 1)
+        return self.element((2 * i - 1,), MCoefficient.minus_one(self.ring, self.profile))
 
     def check_key(self, mono: Iterable[int]) -> Monomial:
         mono = tuple(mono)
@@ -186,9 +186,9 @@ class StiefelPresentation(Presentation):
     def codec(self):
         # rho_i^2 = 0 once 2i - 1 > n; when {-1} vanishes, every overlap
         # contracts to a vanishing {-1}-power
-        if twisted_modulus(self.ring, self.profile) == 1:
-            return _mask, _monomial, _normal_word, -1
-        return _mask, _monomial, _normal_word, -1 << ((self.n + 1) // 2 + 1)
+        twisted = twisted_modulus(self.ring, self.profile)
+        nil = -1 if twisted == 1 else -1 << ((self.n + 1) // 2 + 1)
+        return _mask, _monomial, _normal_word, nil, twisted
 
     def lines(self, bd) -> list[tuple[Monomial, int]]:
         return basis_in_bidegree(self, bd)
@@ -286,37 +286,55 @@ class Element:
         return out
 
 
-def table_product(n: int, product, nil: int, xs: dict[int, dict[int, int]],
-                  ys: dict[int, dict[int, int]], acc: dict) -> dict:
-    """Add xs * ys into the table acc and return it; product and nil are the
+def table_product(n: int, product, nil: int, twisted: int, xs: dict, ys: dict,
+                  acc: dict) -> dict:
+    """Add xs * ys into the table acc and return it.  The tables map codes
+    to packed coefficients, ints or (c_0, B) pairs as twisted
+    (twisted_modulus) picks; see coefficients.pack.  product and nil are the
     codec's key product and zero mask, and pairs meeting in nil, whose
-    product is zero or carries a vanishing {-1}-power, are skipped.  Sums
-    stay unreduced in Z[{-1}] (reduction is a homomorphism)."""
-    ys = list(ys.items())
-    for a, t1 in xs.items():
+    product is zero or carries a vanishing {-1}-power, are skipped.
+
+    A pair with sign s and twist t adds s c_0 d_0 at power 0 when t = 0,
+    unreduced (reduction is a homomorphism).  At the positive powers, in
+    Z/2, it xors in the carry-less product of (c_0 mod 2) + B and
+    (d_0 mod 2) + C shifted by t, without its bit 0."""
+    if twisted == 1:
+        ys = list(ys.items())
+        for a, x in xs.items():
+            clash = a & nil
+            for b, y in ys:
+                if b & clash:
+                    continue
+                nf = product(n, a, b)
+                if nf is None or nf[2]:
+                    continue
+                code, sign, _ = nf
+                acc[code] = acc.get(code, 0) + sign * x * y
+        return acc
+    # y carries the set bits of (d_0 mod 2) + C, read as by _monomial
+    ys = [(b, y0, _monomial(y0 & 1 | yb)) for b, (y0, yb) in ys.items()]
+    for a, (x0, xb) in xs.items():
         clash = a & nil
-        for b, t2 in ys:
+        xc = x0 & 1 | xb
+        for b, y0, ks in ys:
             if b & clash:
                 continue
             nf = product(n, a, b)
             if nf is None:
                 continue
             code, sign, twist = nf
-            powers = acc.get(code)
-            if powers is None:
-                powers = acc[code] = {}
-            for k1, v1 in t1.items():
-                k1 += twist
-                v1 *= sign
-                for k2, v2 in t2.items():
-                    k = k1 + k2
-                    powers[k] = powers.get(k, 0) + v1 * v2
+            c0, bits = acc.get(code, (0, 0))
+            if not twist:
+                c0 += sign * x0 * y0
+            for k in ks:
+                bits ^= xc << k + twist
+            acc[code] = c0, bits & -2
     return acc
 
 
 def _mask(mono: Monomial) -> int:
     """The monomial as a bitmask, bit i standing for rho_i."""
-    return sum(1 << i for i in mono)
+    return sum(map((1).__lshift__, mono))
 
 
 # _monomial's decode table: the indices of the set bits of each byte value

@@ -10,10 +10,10 @@ with c_0 in the coefficient ring R (the integers or Z/m) and, because
 2 {-1} = 0, every higher c_k in R/2R.  When -1 is a square in the ground
 field, {-1} itself vanishes and all positive powers are dropped.
 
-twisted_modulus and reduce_table own that rule for computed tables; the
-validating MCoefficient constructor, their oracle, applies it on its own.
-The Steenrod kernel (operations._cartan) reads twisted_modulus to keep one
-int per coefficient over Z/p: a bitset of {-1}-powers, or a residue mod p.
+twisted_modulus, pack and unpack own that rule for computed tables, which
+hold one packed coefficient per key: the int c_0 when twisted_modulus is 1,
+else a pair (c_0, B) with bit k >= 1 of B the Z/2 coefficient of {-1}^k.
+The validating MCoefficient constructor, their oracle, applies it on its own.
 """
 
 from __future__ import annotations
@@ -136,12 +136,12 @@ class MCoefficient:
 
     @classmethod
     def _unchecked(cls, ring: CoeffRing, profile: FieldProfile,
-                   powers: dict[int, int]) -> "MCoefficient":
-        """The coefficient of a row of reduce_table, built without normalizing."""
+                   terms: tuple[tuple[int, int], ...]) -> "MCoefficient":
+        """The coefficient of normal-form terms (as unpack gives them),
+        built without normalizing."""
         x = object.__new__(cls)
-        object.__setattr__(x, "ring", ring)
-        object.__setattr__(x, "profile", profile)
-        object.__setattr__(x, "terms", tuple(sorted(powers.items())))
+        fields = x.__dict__  # the frozen fields, written as __post_init__ would
+        fields["ring"], fields["profile"], fields["terms"] = ring, profile, terms
         return x
 
     def _require_same_context(self, other: "MCoefficient") -> None:
@@ -196,24 +196,31 @@ def twisted_modulus(ring: CoeffRing, profile: FieldProfile) -> int:
     return 1 if profile.minus_one_is_square or ring.modulus % 2 else 2
 
 
-def reduce_table(acc: dict[int, dict[int, int]], modulus: int,
-                 twisted: int) -> dict[int, dict[int, int]]:
-    """The table {code: {power of {-1}: int}} with power 0 reduced mod
-    modulus (0 meaning Z) and every higher power mod twisted
-    (twisted_modulus), zeros and emptied codes dropped."""
-    out = {}
-    for code, powers in acc.items():
-        reduced = {}
-        for k, c in powers.items():
-            if k:
-                c %= twisted
-            elif modulus:
-                c %= modulus
-            if c:
-                reduced[k] = c
-        if reduced:
-            out[code] = reduced
-    return out
+def pack(terms: tuple[tuple[int, int], ...], twisted: int):
+    """The packed coefficient of normal-form MCoefficient terms: the int
+    c_0 when twisted (twisted_modulus) is 1, else the pair (c_0, B) with
+    bit k of B set for each {-1}^k, k >= 1, whose coefficient is then 1."""
+    c0 = terms[0][1] if terms and not terms[0][0] else 0
+    if twisted == 1:
+        return c0
+    bits = 0
+    for k, _ in terms:
+        bits |= 1 << k
+    return c0, bits & -2
+
+
+def unpack(value, modulus: int, twisted: int) -> tuple[tuple[int, int], ...]:
+    """The normal-form MCoefficient terms of a packed coefficient, whose B
+    has no bit 0, with c_0 reduced mod modulus (0 meaning Z)."""
+    c0, bits = (value, 0) if twisted == 1 else value
+    if modulus:
+        c0 %= modulus
+    terms = ((0, c0),) if c0 else ()
+    while bits:
+        low = bits & -bits
+        terms += ((low.bit_length() - 1, 1),)
+        bits ^= low
+    return terms
 
 
 def is_prime(p: int) -> bool:

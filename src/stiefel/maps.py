@@ -1,9 +1,10 @@
 """Ring homomorphisms between the computed rings.
 
 Maps are stored by generator images.  apply_map and kernel_basis share
-one fold, _image_tables, that extends them multiplicatively on integer
-tables (algebra.table_product); {-1}-powers map to themselves.  apply_map
-sums the tables and kernel_basis writes them into module_kernel rows.
+one fold, _term_image, that extends them multiplicatively on tables of
+packed coefficients (algebra.table_product); {-1}-powers map to
+themselves.  apply_map adds every term's image into one table and
+kernel_basis writes each into module_kernel rows.
 Construction verifies that the images respect the squaring relations; a
 map failing that check is kept, but downgraded to generator-level and
 usable only on the span of single generators.
@@ -12,13 +13,11 @@ usable only on the span of single generators.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import Element, Presentation, StiefelPresentation, table_product
-from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_table,
-                           twisted_modulus)
+from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, pack, unpack
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
 from .targets import PGmPresentation
@@ -89,21 +88,26 @@ def _respects_square(source: StiefelPresentation, imgs: Mapping[int, Element],
     return lhs == rhs
 
 
-def _image_tables(f: RingMap, terms: Iterable[tuple[tuple[int, ...], dict[int, int]]]):
-    """The target table of f on each (monomial, {power of {-1}: int}) term,
-    with the generator images tabulated once per call."""
+def _term_image(f: RingMap):
+    """The function image(mono, terms, acc) that adds f's image of the term
+    (monomial, MCoefficient terms) into the target table acc and returns
+    acc; the generator images are tabulated once per call."""
     target = f.target
-    encode, _, product, nil = target.codec()
+    encode, _, product, nil, twisted = target.codec()
     n, unit = target.n, encode(target.unit_key)
     images = {i: target.table(img) for i, img in f.images}
-    for mono, powers in terms:
+    one = {unit: pack(((0, 1),), twisted)}
+
+    def image(mono: tuple[int, ...], terms, acc: dict) -> dict:
         if f.generator_level_only and len(mono) > 1:
             raise SpanError(
                 f"map '{f.label}' is generator-level only and cannot take products")
-        term = {unit: powers}
-        for i in mono:
-            term = table_product(n, product, nil, term, images[i], {})
-        yield term
+        table = images[mono[0]] if mono else one
+        for i in mono[1:]:
+            table = table_product(n, product, nil, twisted, table, images[i], {})
+        # the coefficient multiplies as a table on the unit key
+        return table_product(n, product, nil, twisted, table, {unit: pack(terms, twisted)}, acc)
+    return image
 
 
 def apply_map(f: RingMap, x: Element) -> Element:
@@ -111,10 +115,9 @@ def apply_map(f: RingMap, x: Element) -> Element:
     The terms are summed in one table, so one element is built per call."""
     if x.pres != f.source:
         raise ContextMismatch(f"element is not in the source ring of '{f.label}'")
-    acc: dict[int, dict[int, int]] = {}
-    for term in _image_tables(f, ((mono, dict(c.terms)) for mono, c in x.terms)):
-        for code, powers in term.items():
-            acc.setdefault(code, Counter()).update(powers)
+    image, acc = _term_image(f), {}
+    for mono, c in x.terms:
+        image(mono, c.terms, acc)
     return f.target.from_table(acc)
 
 
@@ -199,8 +202,8 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
 
     Returns independent generators of the kernel subgroup (free generators
     and 2-torsion generators mixed), computed by exact integer linear
-    algebra on the graded piece: reduce_table turns each source line's image
-    into a column, of modulus R at k = 0 and twisted_modulus above.  With no
+    algebra on the graded piece: unpack turns each source line's image into
+    a column, of modulus R at k = 0 and twisted_modulus above.  With no
     target line there is nothing to eliminate.  Kernel vectors are read out by
     the source lines' keys, with no codec.  Generator-level maps are rejected.
     """
@@ -214,13 +217,13 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     # source and target share the ring and profile
     ring, profile = source.ring, source.profile
     if tgt_lines:
-        twisted = twisted_modulus(ring, profile)
-        encode, decode = f.target.codec()[:2]
+        encode, decode, _, _, twisted = f.target.codec()
         index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
         rows: list[dict[int, int]] = [{} for _ in tgt_lines]
-        for col, table in enumerate(_image_tables(f, ((mono, {k: 1}) for mono, k in src_lines))):
-            for code, powers in reduce_table(table, ring.modulus, twisted).items():
-                for k, value in powers.items():
+        image = _term_image(f)
+        for col, (mono, power) in enumerate(src_lines):
+            for code, packed in image(mono, ((power, 1),), {}).items():
+                for k, value in unpack(packed, ring.modulus, twisted):
                     if (code, k) not in index:
                         raise AssertionError(
                             f"image term {(decode(code), k)} missed the graded piece {bd}")
@@ -234,6 +237,6 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     # module_kernel's entries are reduced and nonzero, and a monomial fixes
     # its k in a graded piece, so the keys are distinct
     unchecked = MCoefficient._unchecked
-    return [source._from_terms([(src_lines[c][0], unchecked(ring, profile, {src_lines[c][1]: v}))
+    return [source._from_terms([(src_lines[c][0], unchecked(ring, profile, ((src_lines[c][1], v),)))
                                 for c, v in vector.items()])
             for vector in vectors]

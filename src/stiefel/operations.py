@@ -24,9 +24,10 @@ however large the index.  The recursion (_cartan) maps a monomial bitmask
 and a degree to {mask: int}, multiplying by one generator value per step:
 over Z/p one int holds a whole coefficient, a bitset of the Z/2
 coefficients of the {-1}-powers when they survive (then p = 2), and
-otherwise a residue mod p.  _apply_stiefel turns each value into a
-{mask: {power of {-1}: int}} table and folds in the input's coefficients
-by algebra.table_product, before Presentation.from_table builds the one
+otherwise a residue mod p, which is already the packed coefficient
+(coefficients.pack) of a product table.  _apply_stiefel splits a bitset
+into the packed pair (c_0, B) and folds in the input's coefficients by
+algebra.table_product, before Presentation.from_table builds the one
 Element of the result.  Both skip products meeting in the codec's zero
 mask (pairs whose product is zero or carries a vanishing {-1}-power).
 
@@ -41,8 +42,7 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import Element, StiefelPresentation, _normal_word, table_product
-from .coefficients import (Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime,
-                           twisted_modulus)
+from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime
 from .errors import InadmissibleOperation, InvalidGenerator
 
 
@@ -169,21 +169,16 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     """An even operation on an element of H(W(n, m)) by the Cartan sum."""
     pres = x.pres
     n, p, index = pres.n, op.prime, op.index
-    twisted = twisted_modulus(pres.ring, pres.profile)
-    _, _, product, nil = pres.codec()
-    terms = pres.table(x)
+    _, _, product, nil, twisted = pres.codec()
     table = _generator_table(n, p, index, x.terms)
     cache: dict[tuple[int, int], dict[int, int]] = {}
-    acc: dict[int, dict[int, int]] = {}
-    for mask, powers in terms.items():
+    acc: dict = {}
+    for mask, c in pres.table(x).items():
         value = _cartan(cache, table, n, nil, p, twisted, mask, index)
-        if twisted == 2:
-            rows = {a: {e: 1 for e in range(v.bit_length()) if v >> e & 1}
-                    for a, v in value.items()}
-        else:
-            rows = {a: {0: v} for a, v in value.items()}
+        if twisted == 2:  # bit 0 of the bitset is c_0
+            value = {a: (v & 1, v & -2) for a, v in value.items()}
         # the coefficient multiplies as a table on the unit key
-        table_product(n, product, nil, rows, {0: powers}, acc)
+        table_product(n, product, nil, twisted, value, {0: c}, acc)
     return pres.from_table(acc)
 
 

@@ -98,7 +98,8 @@ class PGmPresentation(Presentation):
 
     def codec(self):
         # sigma^2 = {-1} sigma vanishes with {-1}
-        return _encode, _decode, _key_product, int(twisted_modulus(self.ring, self.profile) == 1)
+        twisted = twisted_modulus(self.ring, self.profile)
+        return _encode, _decode, _key_product, int(twisted == 1), twisted
 
     def lines(self, bd) -> list[tuple[PGmKey, int]]:
         return basis_in_bidegree(self, bd)

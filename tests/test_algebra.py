@@ -8,8 +8,8 @@ from stiefel.algebra import (Element, StiefelPresentation, _mask, _monomial, _no
                              all_monomials, basis_element, basis_in_bidegree,
                              monomial_bidegree, poincare_polynomial, random_element,
                              table_product)
-from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, reduce_table,
-                                  twisted_modulus)
+from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, pack,
+                                  twisted_modulus, unpack)
 from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation
 from stiefel.suites import rewrite_outcomes
 from stiefel.targets import PGmPresentation
@@ -384,13 +384,21 @@ def _dense_element(pres, rng):
     return Element(pres, tuple(terms))
 
 
+def _reduce_packed(table, modulus, twisted):
+    """A table of packed coefficients with c_0 reduced and zeros dropped."""
+    return {code: pack(terms, twisted) for code, value in table.items()
+            if (terms := unpack(value, modulus, twisted))}
+
+
 class TestBitmaskKernel:
     def test_every_monomial_pair_up_to_gl8(self):
-        # both _normal_word and table_product on single-key tables, whose
-        # square-zero mask skips some pairs before _normal_word is called
+        # both _normal_word and table_product on single-key tables of packed
+        # (c_0, B) pairs, whose square-zero mask skips some pairs before
+        # _normal_word is called
         skipped = 0
         for n in range(1, 9):
-            _, _, product, nil = gl(n).codec()
+            _, _, product, nil, twisted = gl(n).codec()
+            assert twisted == 2
             # nil has exactly the bits of the generators with rho_i^2 = 0
             assert [i for i in range(1, n + 1) if nil >> i & 1] == \
                 [i for i in range(1, n + 1) if 2 * i - 1 > n]
@@ -401,7 +409,7 @@ class TestBitmaskKernel:
                     skipped += bool(a & b & nil)
                     expected = _reference_normal_word(n, m1 + m2)
                     got = _normal_word(n, a, b)
-                    table = table_product(n, product, nil, {a: {0: 1}}, {b: {0: 1}}, {})
+                    table = table_product(n, product, nil, twisted, {a: (1, 0)}, {b: (1, 0)}, {})
                     if expected is None:
                         assert got is None, (n, m1, m2)
                         assert table == {}, (n, m1, m2)
@@ -409,7 +417,8 @@ class TestBitmaskKernel:
                     mono, sign, twist = expected
                     assert got is not None, (n, m1, m2)
                     assert (got[0], got[2]) == (_bits(mono), twist), (n, m1, m2)
-                    assert table == {got[0]: {twist: got[1]}}, (n, m1, m2)
+                    packed = (got[1], 0) if twist == 0 else (0, 1 << twist)
+                    assert table == {got[0]: packed}, (n, m1, m2)
                     # a contraction leaves {-1}^twist with twist >= 1, whose
                     # coefficients lie in R/2R where -1 = 1: the sign only
                     # matters, and is only compared, when twist = 0
@@ -429,29 +438,30 @@ class TestBitmaskKernel:
         # every overlap contracts, and every {-1}-power it leaves vanishes,
         # so skipping all overlapping pairs changes no reduced product
         assert twisted_modulus(ring, profile) == 1
-        x_powers, y_powers = {0: -2, 1: 1, 3: 1}, {0: 1, 2: 1}
+        # packed, the positive {-1}-powers of x and y are already gone
+        x, y = pack(((0, -2), (1, 1), (3, 1)), 1), pack(((0, 1), (2, 1)), 1)
         skipped = 0
         for n in range(1, 9):
             pres = StiefelPresentation(n, n, ring, profile)
-            _, _, product, nil = pres.codec()
-            assert nil == -1
+            _, _, product, nil, twisted = pres.codec()
+            assert (nil, twisted) == (-1, 1)
             narrow = -1 << ((n + 1) // 2 + 1)
             masks = [_bits(mono) for mono in all_monomials(pres)]
             for a in masks:
                 for b in masks:
                     skipped += bool(a & b)
-                    tables = [reduce_table(table_product(n, product, mask, {a: x_powers},
-                                                         {b: y_powers}, {}), ring.modulus, 1)
+                    tables = [_reduce_packed(table_product(n, product, mask, 1, {a: x}, {b: y}, {}),
+                                             ring.modulus, 1)
                               for mask in (nil, narrow)]
                     assert tables[0] == tables[1], (n, a, b)
             tate = PGmPresentation(n, ring, profile)
-            encode, _, key_product, tate_nil = tate.codec()
+            encode, _, key_product, tate_nil, _ = tate.codec()
             assert tate_nil == 1
             codes = [encode((s, e)) for s in (0, 1) for e in range(n)]
             for a in codes:
                 for b in codes:
-                    tables = [reduce_table(table_product(n, key_product, mask, {a: x_powers},
-                                                         {b: y_powers}, {}), ring.modulus, 1)
+                    tables = [_reduce_packed(table_product(n, key_product, mask, 1, {a: x},
+                                                           {b: y}, {}), ring.modulus, 1)
                               for mask in (tate_nil, 0)]
                     assert tables[0] == tables[1], (n, a, b)
         assert skipped > 50_000
@@ -510,14 +520,14 @@ class TestBitmaskKernel:
 
 
 def _expected_table(nf, modulus, twisted):
-    """The reduced table of a reference normal form (monomial, sign, twist)
-    or None, reduced by hand: power 0 in R, a positive power in Z/twisted,
-    where -1 = 1."""
+    """The reduced packed table of a reference normal form (monomial, sign,
+    twist) or None, reduced by hand: power 0 in R, a positive power in
+    Z/twisted, where -1 = 1."""
     if nf is None:
         return {}
     mono, sign, twist = nf
     value = (sign % modulus if modulus else sign) if twist == 0 else 1 % twisted
-    return {_bits(mono): {twist: value}} if value else {}
+    return {_bits(mono): pack(((twist, value),), twisted)} if value else {}
 
 
 class TestRingLawsExhaustive:
@@ -533,14 +543,16 @@ class TestRingLawsExhaustive:
         modulus, twisted = ring.modulus, twisted_modulus(ring, PLAIN)
         for n in range(1, 6):
             pres = gl(n, ring)
-            _, _, product, nil = pres.codec()
+            _, _, product, nil, _ = pres.codec()
 
             def mul(xs, ys):
-                return reduce_table(table_product(n, product, nil, xs, ys, {}), modulus, twisted)
+                return _reduce_packed(table_product(n, product, nil, twisted, xs, ys, {}),
+                                      modulus, twisted)
 
+            one = pack(((0, 1),), twisted)
             monos = all_monomials(pres)
             masks = [_bits(mono) for mono in monos]
-            single = {a: {a: {0: 1}} for a in masks}
+            single = {a: {a: one} for a in masks}
             pairs = {(a, b): mul(single[a], single[b]) for a in masks for b in masks}
             for m1, a in zip(monos, masks):
                 for m2, b in zip(monos, masks):
@@ -552,7 +564,8 @@ class TestRingLawsExhaustive:
                         sign = -1 if len(m1) * (len(m2) + len(m3)) % 2 else 1
                         assert mul(ab, single[c]) == expected, (n, m1, m2, m3)
                         assert mul(single[a], bc) == expected, (n, m1, m2, m3)
-                        assert mul(bc, {a: {0: sign}}) == expected, (n, m1, m2, m3)
+                        assert mul(bc, {a: pack(((0, sign),), twisted)}) == expected, \
+                            (n, m1, m2, m3)
 
 
 # Coefficient shapes for the packed-coefficient pins: c_0 alone, c_0 with
@@ -602,3 +615,18 @@ class TestElementProductsExhaustive:
         monos = [tuple(i for b, i in enumerate(chain) if mask >> b & 1)
                  for mask in range(1 << len(chain))]
         self._check_pairs(17, monos, _CONTEXTS)
+
+
+class TestGenSquare:
+    def test_matches_the_product_on_every_generator_up_to_n12(self):
+        # gen_square builds {-1} rho_{2i-1} directly; the product is its oracle
+        for ring, profile in _CONTEXTS:
+            for n in range(1, 13):
+                for m in range(n + 1):
+                    pres = StiefelPresentation(n, m, ring, profile)
+                    for i in pres.generators:
+                        got = pres.gen_square(i)
+                        expected = (pres.minus_one() * pres.gen(2 * i - 1) if 2 * i - 1 <= n
+                                    else pres.zero())
+                        assert got == expected and repr(got) == repr(expected), (n, m, i)
+                        assert got == pres.gen(i) * pres.gen(i), (n, m, i)

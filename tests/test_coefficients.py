@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from stiefel.algebra import StiefelPresentation
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient,
-                                  binom_mod, is_prime, reduce_table, twisted_modulus)
+                                  binom_mod, is_prime, pack, twisted_modulus, unpack)
 from stiefel.errors import ContextMismatch, InvalidPresentation
 
 Z = CoeffRing()
@@ -90,8 +90,8 @@ class TestMCoefficient:
 
 
 class TestReduced:
-    """reduce_table, and the unchecked coefficients that from_table builds
-    from its rows, against the validating constructor."""
+    """unpack, and the unchecked coefficients that from_table builds from
+    packed coefficients, against the validating constructor."""
 
     @pytest.mark.parametrize("profile", [PLAIN, SQUARE], ids=["plain", "minus-one-square"])
     @pytest.mark.parametrize("ring", [Z, Z2, CoeffRing(3), CoeffRing(4)],
@@ -104,15 +104,20 @@ class TestReduced:
             powers = {k: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
                       for k in rng.sample(range(5), rng.randint(0, 5))}
             expected = MCoefficient(ring, profile, tuple(powers.items()))
-            reduced = reduce_table({0: powers}, ring.modulus, twisted)
-            built = unit.from_table({0: powers})
+            # packed with c_0 unreduced and each positive power's parity
+            c0 = powers.get(0, 0)
+            value = c0 if twisted == 1 else \
+                (c0, sum((c & 1) << k for k, c in powers.items() if k))
+            reduced = unpack(value, ring.modulus, twisted)
+            built = unit.from_table({0: value})
             if not expected:
-                assert reduced == {} and built.terms == (), powers
+                assert reduced == () and built.terms == (), powers
                 continue
-            assert reduced == {0: dict(expected.terms)}, powers
+            assert reduced == expected.terms, powers
+            assert unpack(pack(reduced, twisted), ring.modulus, twisted) == reduced, powers
             ((key, got),) = built.terms
             assert key == ()
-            for c in (MCoefficient._unchecked(ring, profile, reduced[0]), got):
+            for c in (MCoefficient._unchecked(ring, profile, reduced), got):
                 assert c == expected and repr(c) == repr(expected), powers
                 assert hash(c) == hash(expected)
 
