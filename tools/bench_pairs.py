@@ -12,8 +12,10 @@ checkout would.  The workloads (all by default) and the run length come from
 the change's BENCHMARK.json.  Pair i runs seed first_seed + i on both sides;
 the parent runs first in even pairs and the change in odd ones.  For each
 workload and side the record keeps every run and the median and quartiles of
-each end-to-end metric, and counts the pairs in which the change reads
-better.  --trace-seed adds one traced run per workload and side (the
+each end-to-end metric, counts the pairs in which the change reads
+better, and keeps each pair's change/parent ratio of every end-to-end
+metric with their median.  Records written before the ratios were added are
+left as they are.  --trace-seed adds one traced run per workload and side (the
 per-layer metrics); --tier1 runs the tier-1 tests on each side and records
 their exit status, and their wall time only when they pass.  An existing record of the same two commits is updated in place: the
 workloads run now replace their earlier entries, and the others are kept.
@@ -90,9 +92,15 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def ratio(change: float, parent: float) -> float | None:
+    """change / parent, or None when the parent reads 0."""
+    return change / parent if parent else None
+
+
 def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     """Per side, the summary of each end-to-end metric; per metric, the
-    pairs in which the change reads better (ties count for neither)."""
+    pairs in which the change reads better (ties count for neither), each
+    pair's change/parent ratio and the median of those ratios."""
     out = {side: {name: summary([r["metrics"][name] for r in runs[side]]) for name in better}
            for side in SIDES}
     for side in SIDES:
@@ -103,6 +111,14 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         name: sum(1 for p, c in zip(runs["parent"], runs["change"])
                   if sign[way] * (c["metrics"][name] - p["metrics"][name]) > 0)
         for name, way in better.items()}
+    out["pair_ratios"] = {
+        name: [ratio(c["metrics"][name], p["metrics"][name])
+               for p, c in zip(runs["parent"], runs["change"])]
+        for name in better}
+    out["median_ratio"] = {
+        name: statistics.median(defined) if (defined := [r for r in ratios if r is not None])
+        else None
+        for name, ratios in out["pair_ratios"].items()}
     out["pairs"] = len(runs["parent"])
     return out
 
