@@ -62,7 +62,7 @@ class Presentation:
     tables), lines(bd) (the basis lines (key, k) of a graded piece),
     random_key(rng), the JSON fields json_fields, key_fields,
     key_to_json(key) and key_from_json(entry), and unit_key.  The elements
-    and the integer tables (table, from_table) below are the same in every ring.
+    and the packed tables (table, from_table) below are the same in every ring.
     """
 
     def table(self, x: "Element") -> dict:

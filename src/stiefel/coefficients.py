@@ -140,7 +140,7 @@ class MCoefficient:
         """The coefficient of normal-form terms (as unpack gives them),
         built without normalizing."""
         x = object.__new__(cls)
-        fields = x.__dict__  # the frozen fields, written as __post_init__ would
+        fields = x.__dict__  # written directly, past the frozen __setattr__
         fields["ring"], fields["profile"], fields["terms"] = ring, profile, terms
         return x
 
