@@ -74,16 +74,21 @@ class Presentation:
         """The element of a computed {code: packed coefficient} table,
         reduced by coefficients.unpack and decoded.  Codec products of valid
         keys are valid and distinct, so _from_terms checks nothing.  Equal
-        packed values share one coefficient object, for this call only."""
+        reduced coefficients share one object, for this call only."""
         _, decode, _, _, twisted = self.codec()
         ring, profile, modulus = self.ring, self.profile, self.ring.modulus
         unchecked = MCoefficient._unchecked
-        shared: dict = {}
+        shared: dict = {}  # by packed value, unreduced
+        by_row: dict = {}  # by reduced terms
         terms = []
         for code, value in acc.items():
             c = shared.get(value)
             if c is None:
-                c = shared[value] = unchecked(ring, profile, unpack(value, modulus, twisted))
+                row = unpack(value, modulus, twisted)
+                c = by_row.get(row)
+                if c is None:
+                    c = by_row[row] = unchecked(ring, profile, row)
+                shared[value] = c
             if c.terms:
                 terms.append((decode(code), c))
         return self._from_terms(terms)
