@@ -74,21 +74,17 @@ class Presentation:
         """The element of a computed {code: packed coefficient} table,
         reduced by coefficients.unpack and decoded.  Codec products of valid
         keys are valid and distinct, so _from_terms checks nothing.  Equal
-        reduced coefficients share one object, for this call only."""
+        reduced rows share one coefficient object, for this call only."""
         _, decode, _, _, twisted = self.codec()
         ring, profile, modulus = self.ring, self.profile, self.ring.modulus
         unchecked = MCoefficient._unchecked
-        shared: dict = {}  # by packed value, unreduced
-        by_row: dict = {}  # by reduced terms
+        shared: dict = {}
         terms = []
         for code, value in acc.items():
-            c = shared.get(value)
+            row = unpack(value, modulus, twisted)
+            c = shared.get(row)
             if c is None:
-                row = unpack(value, modulus, twisted)
-                c = by_row.get(row)
-                if c is None:
-                    c = by_row[row] = unchecked(ring, profile, row)
-                shared[value] = c
+                c = shared[row] = unchecked(ring, profile, row)
             if c.terms:
                 terms.append((decode(code), c))
         return self._from_terms(terms)
@@ -348,10 +344,15 @@ _BYTE_ROWS: dict[int, Monomial] = {}
 
 
 def _monomial(mask: int) -> Monomial:
-    """Inverse of _mask, read one byte at a time through _BYTE_ROWS."""
+    """Inverse of _mask, read one byte at a time through _BYTE_ROWS; a run of
+    zero bytes is skipped with one shift, so each set byte costs one shift."""
     out = ()
     base = 0
     while mask:
+        if not mask & 255:
+            zeros = ((mask & -mask).bit_length() - 1) >> 3
+            mask >>= zeros << 3
+            base += zeros << 8
         key = base | mask & 255
         row = _BYTE_ROWS.get(key)
         if row is None:
@@ -421,32 +422,60 @@ def basis_in_bidegree(pres: StiefelPresentation, bd) -> list[tuple[Monomial, int
     """Basis lines (monomial, k) of the (p, q) graded piece, k the {-1}-power,
     sorted by (k, monomial).
 
-    A line with k = 0 carries a copy of R and one with k >= 1 a copy of
-    R/2R; lines whose coefficient group vanishes (R/2R = 0, or -1 a square)
-    are omitted.  Negative weight gives the empty list, per the vanishing
-    range of the theory.
-
-    The line {-1}^k rho_I, with S = sum(I) and L = |I|, sits in bidegree
-    (2S - L + k, S + k).  So for each k the piece is exactly the L-subsets
-    of the generators n-m+1 .. n with sum S, where S = q - k and
-    L = 2q - p - k; they are listed depth first in ascending order.  The
+    For each shape (k, L, S) of _shapes, the L-subsets of the generators
+    n-m+1 .. n with sum S are listed depth first in ascending order.  The
     r-subsets of a run of consecutive integers a .. b reach every sum in
     [r a + r(r-1)/2, r b - r(r-1)/2], so bounding each next index by that
     interval prunes exactly: the walk never meets a dead end, and its cost
     scales with the number of lines, not with 2^m, nor with their length:
     the short subsets that end the lines are listed once per call.
     """
+    lo, hi = pres.n - pres.m + 1, pres.n
+    out: list[tuple[Monomial, int]] = []
+    endings: dict[tuple[int, int, int], list[tuple[Monomial, int]]] = {}
+    for k, size, total in _shapes(pres, bd):
+        _append_subsets(out, k, (), lo, hi, size, total, endings)
+    return out
+
+
+def piece_size(pres: StiefelPresentation, bd) -> int:
+    """len(basis_in_bidegree(pres, bd)), counted without listing the lines:
+    the L-subsets of lo .. lo+m-1 with sum S number the coefficient of x^d
+    in the Gaussian binomial [m choose L], d = S - L lo - L(L-1)/2 (G. E.
+    Andrews, The Theory of Partitions, 1976, Thm. 3.1), read off the product
+    of (1 - x^(m-L+i)) / (1 - x^i), i = 1 .. L, truncated at x^d.  The box
+    symmetries d <-> L(m-L) - d and L <-> m-L keep d and L small."""
+    m, lo = pres.m, pres.n - pres.m + 1
+    count = 0
+    for _, size, total in _shapes(pres, bd):
+        d = total - size * lo - size * (size - 1) // 2
+        d = min(d, size * (m - size) - d)
+        size = min(size, m - size)
+        if d < 0:
+            continue
+        series = [1] + [0] * d
+        for i in range(1, size + 1):
+            j = m - size + i
+            for e in range(d, j - 1, -1):
+                series[e] -= series[e - j]
+            for e in range(i, d + 1):
+                series[e] += series[e - i]
+        count += series[d]
+    return count
+
+
+def _shapes(pres: StiefelPresentation, bd) -> list[tuple[int, int, int]]:
+    """The shapes (k, L, S), by ascending k, of the lines {-1}^k rho_I of the
+    (p, q) piece, L = |I| and S = sum(I).  Such a line sits in bidegree
+    (2S - L + k, S + k), so S = q - k >= 0 and 0 <= L = 2q - p - k <= m.  It
+    carries R when k = 0 and R/2R when k >= 1, so k >= 1 is omitted when
+    R/2R = 0 or -1 is a square.  Negative weight has no shapes, per the
+    vanishing range of the theory."""
     p, q = bd
     if q < 0:
         return []
-    lo, hi = pres.n - pres.m + 1, pres.n
-    # k ranges over S >= 0 (k <= q) and 0 <= L <= m
     top = min(q if twisted_modulus(pres.ring, pres.profile) > 1 else 0, 2 * q - p)
-    out: list[tuple[Monomial, int]] = []
-    endings: dict[tuple[int, int, int], list[tuple[Monomial, int]]] = {}
-    for k in range(max(0, 2 * q - p - pres.m), top + 1):
-        _append_subsets(out, k, (), lo, hi, 2 * q - p - k, q - k, endings)
-    return out
+    return [(k, 2 * q - p - k, q - k) for k in range(max(0, 2 * q - p - pres.m), top + 1)]
 
 
 def _append_subsets(out: list, k: int, prefix: Monomial, lo: int, hi: int,
@@ -476,16 +505,16 @@ def basis_element(pres: Presentation, key, k: int) -> Element:
     return pres.element(key, MCoefficient(pres.ring, pres.profile, ((k, 1),)))
 
 
-def poincare_polynomial(pres: StiefelPresentation, max_weight=None) -> dict[Bidegree, int]:
+def poincare_polynomial(pres: StiefelPresentation) -> dict[Bidegree, int]:
     """Multiset of M-basis bidegrees with multiplicities: the expansion of
-    the product of (1 + T^(2i-1, i)) over the generators, up to max_weight."""
+    the product of (1 + T^(2i-1, i)) over the generators.  It shares no code
+    with _shapes, so, shifted by (k, k), it is also piece_size's oracle."""
     series = {Bidegree(0, 0): 1}
     for i in pres.generators:
         step = Bidegree(2 * i - 1, i)
         nxt = dict(series)
         for bd, mult in series.items():
-            if max_weight is None or bd.q + i <= max_weight:
-                nxt[bd + step] = nxt.get(bd + step, 0) + mult
+            nxt[bd + step] = nxt.get(bd + step, 0) + mult
         series = nxt
     return series
 

@@ -22,8 +22,8 @@ import time
 import click
 
 from . import serialize
-from .algebra import Element, StiefelPresentation, basis_in_bidegree, poincare_polynomial
-from .coefficients import FieldProfile, twisted_modulus
+from .algebra import Element, StiefelPresentation, basis_in_bidegree, piece_size
+from .coefficients import FieldProfile
 from .errors import (ContextMismatch, ElementParseError, InvalidPresentation,
                      StiefelError)
 from .render import (basis_report, element_text, presentation_dict,
@@ -178,7 +178,7 @@ def power_cmd(pres, index, prime, use_bockstein, x, fmt):
 @ring_options
 def basis(pres, degree, weight, fmt):
     """List the basis lines of one graded piece."""
-    size = _piece_size(pres, degree, weight)
+    size = piece_size(pres, (degree, weight))
     if size > MAX_BASIS_LINES:
         raise StiefelError(f"bidegree ({degree},{weight}) of W({pres.n},{pres.m}) has {size} "
                            f"basis lines, more than the {MAX_BASIS_LINES} that basis lists")
@@ -189,15 +189,6 @@ def basis(pres, degree, weight, fmt):
             "lines": [{"gens": list(mono), "k": k} for mono, k in lines]}))
     else:
         click.echo(basis_report(pres, (degree, weight), lines, latex=(fmt == "latex")))
-
-
-def _piece_size(pres: StiefelPresentation, p: int, q: int) -> int:
-    """Number of basis lines in bidegree (p, q), read off the Poincare
-    polynomial up to weight q: monomials at (p, q), plus those at
-    (p - k, q - k) for k >= 1 when torsion lines exist."""
-    torsion = twisted_modulus(pres.ring, pres.profile) > 1
-    return sum(count for bd, count in poincare_polynomial(pres, q).items()
-               if p - bd.p == q - bd.q and (p == bd.p or torsion and p > bd.p))
 
 
 @main.command()

@@ -6,8 +6,8 @@ import pytest
 
 from stiefel.algebra import (Element, StiefelPresentation, _mask, _monomial, _normal_word,
                              all_monomials, basis_element, basis_in_bidegree,
-                             monomial_bidegree, poincare_polynomial, random_element,
-                             table_product)
+                             monomial_bidegree, piece_size, poincare_polynomial,
+                             random_element, table_product)
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, pack,
                                   twisted_modulus, unpack)
 from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation
@@ -266,6 +266,31 @@ class TestEnumeratorAgainstFilter:
         assert basis_in_bidegree(pres, (3, 30)) == []
 
 
+class TestPieceSize:
+    # piece_size against two oracles on the window of
+    # _assert_every_piece_matches: the lines basis_in_bidegree lists, and
+    # the full Poincare polynomial shifted by (k, k) for the {-1}^k lines,
+    # with the torsion rule of _reference_pieces, not twisted_modulus
+    @pytest.mark.parametrize("ring", [Z, CoeffRing(2), CoeffRing(3)], ids=["Z", "Z/2", "Z/3"])
+    @pytest.mark.parametrize("square", [False, True], ids=["nonsquare", "square"])
+    def test_every_piece_up_to_n9(self, ring, square):
+        profile = FieldProfile(minus_one_is_square=square)
+        for n in range(1, 10):
+            for m in range(0, n + 1):
+                pres = StiefelPresentation(n, m, ring, profile)
+                torsion = ring.modulus % 2 == 0 and not square
+                max_q = sum(pres.generators) + 2
+                shifted = Counter()
+                for base, count in poincare_polynomial(pres).items():
+                    for k in range(max_q - base.q + 1 if torsion else 1):
+                        shifted[base.p + k, base.q + k] += count
+                for q in range(-2, max_q + 1):
+                    for p in range(q - m - 3, 2 * q + 4):
+                        size = piece_size(pres, (p, q))
+                        assert size == shifted[p, q], (pres, p, q)
+                        assert size == len(basis_in_bidegree(pres, (p, q))), (pres, p, q)
+
+
 class TestPoincare:
     def test_w_n1(self):
         for n in (1, 3, 7):
@@ -477,8 +502,12 @@ class TestBitmaskKernel:
             return tuple(out)
 
         rng = random.Random(2026)
+        # sparse masks with bits up to 10^5 cross long runs of zero bytes
+        sparse = [1 << k | 1 << j for k in (8, 9, 255, 256, 4097, 10**5)
+                  for j in (0, 7, 8, k // 2, k - 8, k - 1)]
         masks = itertools.chain(range(1 << 16),
-                                (rng.getrandbits(rng.randint(1, 130)) for _ in range(20_000)))
+                                (rng.getrandbits(rng.randint(1, 130)) for _ in range(20_000)),
+                                sparse)
         for mask in masks:
             mono = _monomial(mask)
             assert mono == reference(mask), mask

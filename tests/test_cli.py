@@ -10,8 +10,8 @@ from click.testing import CliRunner
 
 import stiefel
 from stiefel import suites
-from stiefel.algebra import basis_element, basis_in_bidegree
-from stiefel.cli import _piece_size, build_presentation, main
+from stiefel.algebra import basis_element, basis_in_bidegree, piece_size
+from stiefel.cli import build_presentation, main
 from stiefel.render import basis_report, element_text
 from stiefel.serialize import element_from_json
 
@@ -99,6 +99,14 @@ class TestMul:
     def test_parse_error(self):
         result = run("mul", "bogus", "r2", "-n", "3", "-m", "3")
         assert result.exit_code == 2
+
+    def test_high_generators_answer_quickly(self):
+        # the product's mask has two set bits near bit 10^6
+        start = time.perf_counter()
+        result = run("mul", "r999999", "r999998", "-n", "1000000")
+        assert time.perf_counter() - start < 5.0
+        assert result.exit_code == 0
+        assert result.output == "r999998 r999999\n"
 
     def test_zero_token(self):
         result = run("mul", "0", "r2", "-n", "3", "--format", "json")
@@ -222,8 +230,8 @@ class TestBasisAndSeries:
         assert result.output.strip() == "bidegree (300,160) of H(W(28,28); Z/3): 0"
 
     def test_basis_size_guard_counts_only_low_weights(self):
-        # the count stops at weight q = 2, so GL(120)'s 288,101 bidegrees
-        # are never expanded for this one-line piece
+        # the count reads one Gaussian binomial coefficient per {-1}-power,
+        # so GL(120)'s 288,101 bidegrees are never expanded for this piece
         start = time.perf_counter()
         result = run("basis", "-p", "3", "-q", "2", "-n", "120")
         assert time.perf_counter() - start < 5.0
@@ -231,13 +239,27 @@ class TestBasisAndSeries:
         assert result.output.splitlines() == [
             "bidegree (3,2) of H(W(120,120); Z/2): (Z/2)^1", "  k=0: r2"]
 
+    @pytest.mark.parametrize("degree,weight,size", [
+        ("3570", "1815", "7388217907812115418769229782"),
+        ("7200", "3630", "801225408602022163737761136115732")])
+    def test_basis_size_guard_refuses_huge_gl120_pieces_quickly(self, degree, weight, size):
+        # the counts of the Poincare expansion up to weight q, which takes
+        # 10-25 s at this size; the closed form refuses in under a second
+        start = time.perf_counter()
+        result = run("basis", "-p", degree, "-q", weight, "-n", "120")
+        assert time.perf_counter() - start < 5.0
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            f"error: bidegree ({degree},{weight}) of W(120,120) has {size} "
+            "basis lines, more than the 100000 that basis lists"]
+
     @pytest.mark.parametrize("coeff,minus_one", [
         ("Z", "nonsquare"), ("Z/3", "nonsquare"), ("Z", "square")])
     def test_piece_size_counts_the_lines(self, coeff, minus_one):
         pres = build_presentation(7, 5, coeff, minus_one, None)
         for q in range(-1, 30):
             for p in range(q - 7, 2 * q + 2):
-                assert _piece_size(pres, p, q) == len(basis_in_bidegree(pres, (p, q)))
+                assert piece_size(pres, (p, q)) == len(basis_in_bidegree(pres, (p, q)))
 
     @pytest.mark.parametrize("coeff,minus_one", [
         ("Z", "nonsquare"), ("Z/2", "nonsquare"), ("Z/3", "nonsquare"), ("Z", "square")])
