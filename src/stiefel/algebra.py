@@ -74,17 +74,21 @@ class Presentation:
         """The element of a computed {code: packed coefficient} table,
         reduced by coefficients.unpack and decoded.  Codec products of valid
         keys are valid and distinct, so _from_terms checks nothing.  Equal
-        reduced rows share one coefficient object, for this call only."""
+        reduced coefficients share one object, for this call only."""
         _, decode, _, _, twisted = self.codec()
         ring, profile, modulus = self.ring, self.profile, self.ring.modulus
         unchecked = MCoefficient._unchecked
-        shared: dict = {}
+        shared: dict = {}  # by packed value, unreduced
+        by_row: dict = {}  # by reduced terms
         terms = []
         for code, value in acc.items():
-            row = unpack(value, modulus, twisted)
-            c = shared.get(row)
+            c = shared.get(value)
             if c is None:
-                c = shared[row] = unchecked(ring, profile, row)
+                row = unpack(value, modulus, twisted)
+                c = by_row.get(row)
+                if c is None:
+                    c = by_row[row] = unchecked(ring, profile, row)
+                shared[value] = c
             if c.terms:
                 terms.append((decode(code), c))
         return self._from_terms(terms)
@@ -344,8 +348,7 @@ _BYTE_ROWS: dict[int, Monomial] = {}
 
 
 def _monomial(mask: int) -> Monomial:
-    """Inverse of _mask, read one byte at a time through _BYTE_ROWS; a run of
-    zero bytes is skipped with one shift, so each set byte costs one shift."""
+    """Inverse of _mask, read a byte at a time through _BYTE_ROWS, zero runs at once."""
     out = ()
     base = 0
     while mask:
@@ -466,11 +469,9 @@ def piece_size(pres: StiefelPresentation, bd) -> int:
 
 def _shapes(pres: StiefelPresentation, bd) -> list[tuple[int, int, int]]:
     """The shapes (k, L, S), by ascending k, of the lines {-1}^k rho_I of the
-    (p, q) piece, L = |I| and S = sum(I).  Such a line sits in bidegree
-    (2S - L + k, S + k), so S = q - k >= 0 and 0 <= L = 2q - p - k <= m.  It
-    carries R when k = 0 and R/2R when k >= 1, so k >= 1 is omitted when
-    R/2R = 0 or -1 is a square.  Negative weight has no shapes, per the
-    vanishing range of the theory."""
+    (p, q) piece, L = |I| and S = sum(I): such a line sits in (2S - L + k,
+    S + k), so S = q - k >= 0 and 0 <= L = 2q - p - k <= m.  Lines with k >= 1
+    carry R/2R, so none exist when R/2R = 0 or -1 is a square; nor when q < 0."""
     p, q = bd
     if q < 0:
         return []
@@ -507,8 +508,7 @@ def basis_element(pres: Presentation, key, k: int) -> Element:
 
 def poincare_polynomial(pres: StiefelPresentation) -> dict[Bidegree, int]:
     """Multiset of M-basis bidegrees with multiplicities: the expansion of
-    the product of (1 + T^(2i-1, i)) over the generators.  It shares no code
-    with _shapes, so, shifted by (k, k), it is also piece_size's oracle."""
+    the product of (1 + T^(2i-1, i)) over the generators; piece_size's oracle."""
     series = {Bidegree(0, 0): 1}
     for i in pres.generators:
         step = Bidegree(2 * i - 1, i)
