@@ -315,6 +315,32 @@ class TestKernelAgainstReference:
                 assert Element(y.pres, y.terms) == y
 
 
+# GL(12) and GL(14) over Z/2, both profiles, Sq^{2i} for i <= 12; GL(12) over
+# Z/3 and GL(14) over Z/5, P^i for i <= 5
+TOP_GRID = [(n, 2, profile, [square(2 * i) for i in range(13)])
+            for n in (12, 14) for profile in (PLAIN, FieldProfile(minus_one_is_square=True))]
+TOP_GRID += [(12, 3, PLAIN, [power(i, 3) for i in range(6)]),
+             (14, 5, PLAIN, [power(i, 5) for i in range(6)])]
+
+
+@pytest.mark.parametrize("n, p, profile, ops", TOP_GRID,
+                         ids=[f"GL({n}) Z/{p} {'square' if profile.minus_one_is_square else 'plain'}"
+                              for n, p, profile, _ in TOP_GRID])
+class TestTopMonomials:
+    def test_top_and_near_top_against_reference(self, n, p, profile, ops):
+        # the top class of GL(n) and the n monomials one generator below it,
+        # where most operations land in a graded piece with no line
+        pres = StiefelPresentation(n, n, CoeffRing(p), profile)
+        top = tuple(pres.generators)
+        monos = [top] + [top[:i] + top[i + 1:] for i in range(n)]
+        for op in ops:
+            cartan = reference_cartan(op, pres)
+            for mono in monos:
+                x = pres.monomial(mono)
+                assert apply_operation(op, x) == reference_apply(cartan, op, x), \
+                    (op.describe(), mono)
+
+
 def reduced_power(i, p):
     """P^i at an odd prime; at p = 2, P^i stands for Sq^{2i}."""
     return square(2 * i) if p == 2 else power(i, p)
