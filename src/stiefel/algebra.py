@@ -44,7 +44,8 @@ Monomial = tuple[int, ...]
 
 def monomial_bidegree(mono: Monomial) -> Bidegree:
     """Sum of (2i-1, i) over the generator indices of the monomial."""
-    return Bidegree(sum(2 * i - 1 for i in mono), sum(mono))
+    s = sum(mono)
+    return Bidegree(2 * s - len(mono), s)
 
 
 class Presentation:
@@ -454,8 +455,6 @@ def piece_size(pres: StiefelPresentation, bd) -> int:
         d = total - size * lo - size * (size - 1) // 2
         d = min(d, size * (m - size) - d)
         size = min(size, m - size)
-        if d < 0:
-            continue
         series = [1] + [0] * d
         for i in range(1, size + 1):
             j = m - size + i
@@ -469,14 +468,22 @@ def piece_size(pres: StiefelPresentation, bd) -> int:
 
 def _shapes(pres: StiefelPresentation, bd) -> list[tuple[int, int, int]]:
     """The shapes (k, L, S), by ascending k, of the lines {-1}^k rho_I of the
-    (p, q) piece, L = |I| and S = sum(I): such a line sits in (2S - L + k,
-    S + k), so S = q - k >= 0 and 0 <= L = 2q - p - k <= m.  Lines with k >= 1
-    carry R/2R, so none exist when R/2R = 0 or -1 is a square; nor when q < 0."""
+    (p, q) piece, L = |I| and S = sum(I), that have at least one line; so
+    the piece is empty exactly when the list is.  Such a line sits in
+    (2S - L + k, S + k), so S = q - k and 0 <= L = 2q - p - k <= m, and the
+    L-subsets of lo .. lo+m-1 reach exactly the sums S whose offset
+    d = S - L lo - L(L-1)/2 lies in [0, L(m - L)] (see basis_in_bidegree).
+    Lines with k >= 1 carry R/2R, so none exist when R/2R = 0 or -1 is a
+    square.  The cost is O(m) whatever the bidegree."""
     p, q = bd
-    if q < 0:
-        return []
+    m, lo = pres.m, pres.n - pres.m + 1
     top = min(q if twisted_modulus(pres.ring, pres.profile) > 1 else 0, 2 * q - p)
-    return [(k, 2 * q - p - k, q - k) for k in range(max(0, 2 * q - p - pres.m), top + 1)]
+    out = []
+    for k in range(max(0, 2 * q - p - m), top + 1):
+        size, total = 2 * q - p - k, q - k
+        if 0 <= total - size * lo - size * (size - 1) // 2 <= size * (m - size):
+            out.append((k, size, total))
+    return out
 
 
 def _append_subsets(out: list, k: int, prefix: Monomial, lo: int, hi: int,

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 usage error, 3 math-context error (also a basis
-piece of more than MAX_BASIS_LINES lines), 4 property failure.  The
-environment variable STIEFEL_SEED overrides --seed.
+piece of more than MAX_BASIS_LINES lines, or a Poincare series of more
+than MAX_SERIES_TERMS terms), 4 property failure.  The environment
+variable STIEFEL_SEED overrides --seed.
 
 Every ring command takes its ring through ring_options, which hands it one
 StiefelPresentation built, like everything the command raises, inside
@@ -34,6 +35,9 @@ MATH_ERROR = 3
 PROPERTY_FAILURE = 4
 # `basis` refuses pieces with more lines than this, counted before listing
 MAX_BASIS_LINES = 100_000
+# `series` refuses series with more terms than this, counted before expanding:
+# W(n, m) with m <= 39, which prints in well under a second
+MAX_SERIES_TERMS = 10_000
 
 
 def guarded(fn):
@@ -195,6 +199,14 @@ def basis(pres, degree, weight, fmt):
 @ring_options
 def series(pres, fmt):
     """Print the bigraded Poincare polynomial of H(W(n, m))."""
+    # the L-subsets of m consecutive generators reach every sum between the
+    # least and the greatest (see basis_in_bidegree), so the series has
+    # sum over L of L(m - L) + 1 terms
+    m = pres.m
+    size = (m**3 - m) // 6 + m + 1
+    if size > MAX_SERIES_TERMS:
+        raise StiefelError(f"the Poincare series of W({pres.n},{m}) has {size} terms, "
+                           f"more than the {MAX_SERIES_TERMS} that series prints")
     if fmt == "json":
         click.echo(json.dumps([{"p": bd.p, "q": bd.q, "count": c}
                                for bd, c in series_entries(pres)]))

@@ -16,19 +16,26 @@ which makes every odd cross-term of the general Cartan expansion vanish.
 Pure base classes are fixed by Sq^0 / P^0 and killed by anything of
 positive degree; {-1}-powers attached to a monomial ride along as scalars.
 
-The Cartan sum runs on plain integers.  Each call first tabulates the
+A value of a degree-(2d, d) operation on a monomial w lies in the graded
+piece of bidegree(w) + (2d, d), and that piece often has no basis line
+(algebra._shapes tells in O(m)).  So each call first drops the input
+terms whose target piece is empty: their values are zero, {-1}-multiples
+included, and neither the generator rows nor the recursion see them.
+
+The Cartan sum runs on plain integers.  Each call then tabulates the
 nonzero generator values (b, rho_target bit, binomial) for the generators
-of its input, read off its monomial tuples; since target = j + b(p-1)
-must stay <= n, a table row has at most (n - j)/(p - 1) + 1 entries
-however large the index.  The recursion (_cartan) maps a monomial bitmask
-and a degree to {mask: int}, multiplying by one generator value per step:
-over Z/p one int holds a whole coefficient, a bitset of the Z/2
-coefficients of the {-1}-powers when they survive (then p = 2), and
-otherwise a residue mod p, which is already the packed coefficient
-(coefficients.pack) of a product table.  _apply_stiefel splits a bitset
-into the packed pair (c_0, B) and folds in the input's coefficients by
-algebra.table_product, before Presentation.from_table builds the one
-Element of the result.  Both skip products meeting in the codec's zero
+of the surviving terms, read off their monomial tuples; since target =
+j + b(p-1) must stay <= n, a table row has at most (n - j)/(p - 1) + 1
+entries however large the index.  At p = 2 the rows are the submasks b of
+j - 1 (Lucas' theorem), listed without a binomial.  The recursion
+(_cartan) maps a monomial bitmask and a degree to {mask: int},
+multiplying by one generator value per step: over Z/p one int holds a
+whole coefficient, a bitset of the Z/2 coefficients of the {-1}-powers
+when they survive (then p = 2), and otherwise a residue mod p, which is
+already the packed coefficient (coefficients.pack) of a product table.
+_apply_stiefel splits a bitset into the packed pair (c_0, B) and folds in
+the input's coefficients by algebra.table_product, before
+Presentation.from_table builds the one Element of the result.  Both skip products meeting in the codec's zero
 mask (pairs whose product is zero or carries a vanishing {-1}-power).
 
 On the Tate target the squares act through the projective-space formula
@@ -41,8 +48,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import Element, StiefelPresentation, _normal_word, table_product
-from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime
+from .algebra import (Element, StiefelPresentation, _normal_word, _shapes, monomial_bidegree,
+                      table_product)
+from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime, pack
 from .errors import InadmissibleOperation, InvalidGenerator
 
 
@@ -168,17 +176,20 @@ def apply_operation(op: Operation, x: Element) -> Element:
 def _apply_stiefel(op: Operation, x: Element) -> Element:
     """An even operation on an element of H(W(n, m)) by the Cartan sum."""
     pres = x.pres
-    n, p, index = pres.n, op.prime, op.index
-    _, _, product, nil, twisted = pres.codec()
-    table = _generator_table(n, p, index, x.terms)
+    n, p, index, shift = pres.n, op.prime, op.index, op.bidegree_shift
+    encode, _, product, nil, twisted = pres.codec()
+    # the value on w lies in the piece of bidegree(w) + shift, so it is
+    # zero, and so is any {-1}-multiple of it, when that piece has no line
+    terms = [(mono, c) for mono, c in x.terms if _shapes(pres, monomial_bidegree(mono) + shift)]
+    table = _generator_table(n, p, index, terms)
     cache: dict[tuple[int, int], dict[int, int]] = {}
     acc: dict = {}
-    for mask, c in pres.table(x).items():
-        value = _cartan(cache, table, n, nil, p, twisted, mask, index)
+    for mono, c in terms:
+        value = _cartan(cache, table, n, nil, p, twisted, encode(mono), index)
         if twisted == 2:  # bit 0 of the bitset is c_0
             value = {a: (v & 1, v & -2) for a, v in value.items()}
         # the coefficient multiplies as a table on the unit key
-        table_product(n, product, nil, twisted, value, {0: c}, acc)
+        table_product(n, product, nil, twisted, value, {0: pack(c.terms, twisted)}, acc)
     return pres.from_table(acc)
 
 
@@ -189,15 +200,27 @@ def _generator_table(n: int, p: int, index: int, terms) -> dict[int, list]:
     terms, read off the tuples rather than decoded from bitmasks.
 
     target = j + b (p - 1), so b stops at (n - j) // (p - 1): the table
-    costs at most index + 1 binomials per generator, and none beyond n."""
+    costs at most index + 1 binomials per generator, and none beyond n.
+    At p = 2 it costs none: by Lucas' theorem C(j - 1, b) is odd exactly
+    when b is a submask of j - 1, and b -> (b - (j - 1)) & (j - 1) steps
+    through those submasks in ascending order."""
     step = p - 1
     table: dict[int, list] = {}
     for j in {j for mono, _ in terms for j in mono}:
         row = table[j] = []
-        for b in range(min(index, (n - j) // step) + 1):
-            c = binom_mod(j - 1, b, p)
-            if c:
-                row.append((b, 1 << (j + b * step), c))
+        top = min(index, (n - j) // step)
+        if p == 2:
+            b = 0
+            while True:
+                row.append((b, 1 << (j + b), 1))
+                b = (b - j + 1) & (j - 1)
+                if not 0 < b <= top:
+                    break
+        else:
+            for b in range(top + 1):
+                c = binom_mod(j - 1, b, p)
+                if c:
+                    row.append((b, 1 << (j + b * step), c))
     return table
 
 

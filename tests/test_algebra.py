@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from stiefel.algebra import (Element, StiefelPresentation, _mask, _monomial, _normal_word,
-                             all_monomials, basis_element, basis_in_bidegree,
+                             _shapes, all_monomials, basis_element, basis_in_bidegree,
                              monomial_bidegree, piece_size, poincare_polynomial,
                              random_element, table_product)
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, pack,
@@ -289,6 +289,21 @@ class TestPieceSize:
                         size = piece_size(pres, (p, q))
                         assert size == shifted[p, q], (pres, p, q)
                         assert size == len(basis_in_bidegree(pres, (p, q))), (pres, p, q)
+
+    @pytest.mark.parametrize("ring", [Z, CoeffRing(2), CoeffRing(3)], ids=["Z", "Z/2", "Z/3"])
+    @pytest.mark.parametrize("square", [False, True], ids=["nonsquare", "square"])
+    def test_shapes_are_empty_exactly_on_empty_pieces(self, ring, square):
+        # _shapes lists only the shapes with a line, so the Steenrod kernel
+        # may read an empty list as an empty piece
+        profile = FieldProfile(minus_one_is_square=square)
+        for n in range(1, 10):
+            for m in range(0, n + 1):
+                pres = StiefelPresentation(n, m, ring, profile)
+                max_q = sum(pres.generators) + 2
+                for q in range(-2, max_q + 1):
+                    for p in range(q - m - 3, 2 * q + 4):
+                        assert bool(_shapes(pres, (p, q))) == (piece_size(pres, (p, q)) > 0), \
+                            (pres, p, q)
 
 
 class TestPoincare:

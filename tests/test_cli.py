@@ -292,6 +292,26 @@ class TestBasisAndSeries:
         data = json.loads(result.output)
         assert {"p": 4, "q": 3, "count": 1} in data
 
+    def test_series_guard_refuses_quickly(self):
+        # -n 200 printed nothing in 120 s before the guard; the 1,333,501
+        # terms are counted in closed form
+        start = time.perf_counter()
+        result = run("series", "-n", "200")
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            "error: the Poincare series of W(200,200) has 1333501 terms, "
+            "more than the 10000 that series prints"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_series_guard_lets_the_largest_series_through(self, fmt):
+        # m = 39 gives 9,920 terms, m = 40 gives 10,701
+        start = time.perf_counter()
+        result = run("series", "-n", "1000000", "-m", "39", "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert run("series", "-n", "40", "--format", fmt).exit_code == 3
+
 
 class TestMap:
     def test_cmp_spec_example(self):

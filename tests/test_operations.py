@@ -397,9 +397,27 @@ class TestKernelCost:
         monkeypatch.setattr(operations, "binom_mod", counting_binom)
         pres = gl(6, 2)
         x = pres.monomial(pres.generators) + random_element(pres, None, seed=3)
+        # every target piece of a huge index is empty, so no row is built
         assert not apply_operation(square(2 * 10**9), x)
-        # b <= (n - j) // (p - 1) per generator: 6 + 5 + ... + 1 values
+        assert not calls
+        # b <= (n - j) // (p - 1) per generator: 6 + 5 + ... + 1 values; at
+        # p = 2 the rows are the submasks of j - 1, with no binomial
+        for p in (2, 3):
+            table = operations._generator_table(6, p, 10**9, x.terms)
+            entries = [b for row in table.values() for b, _, _ in row]
+            assert len(entries) <= 21 and max(entries) <= 5
+            if p == 2:
+                assert not calls
         assert len(calls) <= 21 and max(calls) <= 5
+
+    def test_empty_target_pieces_skip_the_recursion(self, monkeypatch):
+        # Sq^24 of the top class of GL(20) lands in a piece with no line
+        def no_cartan(*args):
+            raise AssertionError("_cartan ran on a term with an empty target piece")
+
+        monkeypatch.setattr(operations, "_cartan", no_cartan)
+        pres = gl(20, 2)
+        assert not apply_operation(square(24), pres.monomial(pres.generators))
 
     def test_no_garbage_cycles(self):
         pres = StiefelPresentation(12, 12, CoeffRing(2), PLAIN)
