@@ -35,8 +35,9 @@ when they survive (then p = 2), and otherwise a residue mod p, which is
 already the packed coefficient (coefficients.pack) of a product table.
 _apply_stiefel splits a bitset into the packed pair (c_0, B) and folds in
 the input's coefficients by algebra.table_product, before
-Presentation.from_table builds the one Element of the result.  Both skip products meeting in the codec's zero
-mask (pairs whose product is zero or carries a vanishing {-1}-power).
+Presentation.from_table builds the one Element of the result.  Both skip
+products meeting in the codec's zero mask (pairs whose product is zero or
+carries a vanishing {-1}-power).
 
 On the Tate target the squares act through the projective-space formula
 Sq^{2i}(eta^e) = binom(e, i) eta^{e+i} with sigma passing through, since

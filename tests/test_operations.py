@@ -323,9 +323,9 @@ TOP_GRID += [(12, 3, PLAIN, [power(i, 3) for i in range(6)]),
              (14, 5, PLAIN, [power(i, 5) for i in range(6)])]
 
 
-@pytest.mark.parametrize("n, p, profile, ops", TOP_GRID,
-                         ids=[f"GL({n}) Z/{p} {'square' if profile.minus_one_is_square else 'plain'}"
-                              for n, p, profile, _ in TOP_GRID])
+@pytest.mark.parametrize("n, p, profile, ops", TOP_GRID, ids=[
+    f"GL({n}) Z/{p} {'square' if profile.minus_one_is_square else 'plain'}"
+    for n, p, profile, _ in TOP_GRID])
 class TestTopMonomials:
     def test_top_and_near_top_against_reference(self, n, p, profile, ops):
         # the top class of GL(n) and the n monomials one generator below it,
