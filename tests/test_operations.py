@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 
 import pytest
 
@@ -41,6 +42,35 @@ class TestOperationSpec:
         assert square(3).bidegree_shift == Bidegree(3, 1)
         assert power(2, 3).bidegree_shift == Bidegree(8, 4)
         assert bockstein(5).bidegree_shift == Bidegree(1, 0)
+
+
+    def test_describe_and_shift_table(self):
+        # Sq^{2i} has bidegree (2i, i) and Sq^{2i+1} has (2i+1, i); P^i has
+        # (2d, d) with d = i(p - 1); beta has (1, 0) whatever its index
+        for i in range(7):
+            assert (square(2 * i).describe(), square(2 * i).bidegree_shift) == (
+                f"Sq^{2 * i}", (2 * i, i))
+            assert (square(2 * i + 1).describe(), square(2 * i + 1).bidegree_shift) == (
+                f"Sq^{2 * i + 1}", (2 * i + 1, i))
+            for p in (3, 5, 7):
+                d = i * (p - 1)
+                op = Operation(p, OperationKind.POWER, i)
+                assert (op.describe(), op.bidegree_shift) == (f"P^{i}", (2 * d, d))
+                op = Operation(p, OperationKind.BOCKSTEIN, i)
+                assert (op.describe(), op.bidegree_shift) == ("beta", (1, 0))
+        for p in (3, 5, 7):
+            with pytest.raises(ValueError):
+                Operation(p, OperationKind.SQUARE, 1)
+            with pytest.raises(ValueError):
+                Operation(p, OperationKind.ODD_SQUARE, 1)
+        for kind in (OperationKind.POWER, OperationKind.BOCKSTEIN):
+            with pytest.raises(ValueError):
+                Operation(2, kind, 1)
+        beta = Operation(5, OperationKind.BOCKSTEIN, 4)
+        assert (beta.describe(), beta.bidegree_shift) == ("beta", Bidegree(1, 0))
+        assert [square(6).describe(), power(2, 3).describe(), bockstein(7).describe()] == [
+            "Sq^6", "P^2", "beta"]
+        assert [square(7).bidegree_shift, power(2, 5).bidegree_shift] == [(7, 3), (16, 8)]
 
 
 class TestGeneratorFormulas:
@@ -149,6 +179,38 @@ class TestAdmissibility:
         bad3 = StiefelPresentation(3, 3, CoeffRing(3), FieldProfile(characteristic=3))
         with pytest.raises(InadmissibleOperation):
             apply_operation(bockstein(3), bad3.gen(2))
+
+
+    def test_generator_errors_keep_their_types_and_messages(self):
+        w42 = StiefelPresentation(4, 2, CoeffRing(2), PLAIN)
+        cases = [
+            (lambda: sq_on_generator(1, 2, StiefelPresentation(3, 3)), InadmissibleOperation,
+             "operation needs Z/2 coefficients, ring is Z"),
+            (lambda: power_on_generator(1, 2, 3, gl(3, 5)), InadmissibleOperation,
+             "operation needs Z/3 coefficients, ring is Z/5"),
+            (lambda: sq_on_generator(1, 2, StiefelPresentation(
+                3, 3, CoeffRing(2), FieldProfile(characteristic=2))), InadmissibleOperation,
+             "operation is unavailable over a ground field of characteristic 2"),
+            (lambda: power_on_generator(1, 2, 5, StiefelPresentation(
+                3, 3, CoeffRing(5), FieldProfile(characteristic=5))), InadmissibleOperation,
+             "operation is unavailable over a ground field of characteristic 5"),
+            (lambda: power_on_generator(1, 2, 2, gl(3, 2)), InadmissibleOperation,
+             "reduced powers need an odd prime, got 2"),
+            (lambda: power_on_generator(1, 2, 9, gl(3, 9)), InadmissibleOperation,
+             "reduced powers need an odd prime, got 9"),
+            (lambda: sq_on_generator(-1, 2, gl(3, 2)), ValueError,
+             "operation index must be nonnegative"),
+            (lambda: power_on_generator(-1, 2, 3, gl(3, 3)), ValueError,
+             "operation index must be nonnegative"),
+            (lambda: sq_on_generator(1, 1, w42), InvalidGenerator,
+             "rho_1 is not a generator of W(4,2)"),
+            (lambda: power_on_generator(1, 5, 3, gl(4, 3)), InvalidGenerator,
+             "rho_5 is not a generator of W(4,4)"),
+        ]
+        for call, kind, message in cases:
+            with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
+                call()
+            assert type(caught.value) is kind
 
 
 class TestCartan:
@@ -461,3 +523,18 @@ class TestTateAction:
         pres = PGmPresentation(12, CoeffRing(3), PLAIN)
         # P^1(eta^2) = C(2,1) eta^4 = 2 eta^4
         assert apply_operation(power(1, 3), pres.eta(2)) == pres.term(0, 4, 2)
+
+    def test_every_term_against_binomials(self):
+        # P^i(sigma^s eta^e) = C(e, i) sigma^s eta^{e + i(p-1)}, zero from
+        # eta^n on; at p = 2, P^i is Sq^{2i}
+        for p in (2, 3, 5, 7):
+            ops = [reduced_power(i, p) for i in range(13)]
+            for n in range(1, 41):
+                pres = PGmPresentation(n, CoeffRing(p), PLAIN)
+                for s in (0, 1):
+                    for e in range(n):
+                        x = pres.term(s, e)
+                        for i, op in enumerate(ops):
+                            c, target = math.comb(e, i) % p, e + i * (p - 1)
+                            expected = pres.term(s, target, c) if c and target < n else pres.zero()
+                            assert apply_operation(op, x) == expected, (p, n, s, e, i)
