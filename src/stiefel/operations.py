@@ -1,17 +1,17 @@
 """Motivic Steenrod squares and odd reduced powers on the computed rings.
 
-Generator values follow the closed formulas
+Generator values follow one closed formula at every prime p,
 
-    Sq^{2i}(rho_j) = binom(j-1, i) rho_{j+i}       if i + j <= n, else 0
-    P^i(rho_j)     = binom(j-1, i) rho_{ip+j-i}    if ip+j-i <= n, else 0
+    P^i(rho_j) = binom(j-1, i) rho_{j+i(p-1)}    if j + i(p-1) <= n, else 0,
 
-with every odd square and the Bockstein vanishing on these classes, so
+where P^i stands for Sq^{2i} at p = 2 (Voevodsky, Publ. IHES 98, 2003).
+Every odd square and the Bockstein vanish on these classes, so
 apply_operation returns zero for them (after the same context checks).
-The action extends to monomials by the even-operation Cartan sum
+The action extends to monomials by the Cartan sum
 
-    Sq^{2k}(w rho_j) = sum_{a+b=k} Sq^{2a}(w) Sq^{2b}(rho_j)
+    P^k(w rho_j) = sum_{a+b=k} P^a(w) P^b(rho_j);
 
-(and the P-analogue); odd operations are declared zero on rho-monomials,
+odd operations are declared zero on rho-monomials,
 which makes every odd cross-term of the general Cartan expansion vanish.
 Pure base classes are fixed by Sq^0 / P^0 and killed by anything of
 positive degree; {-1}-powers attached to a monomial ride along as scalars.
@@ -39,9 +39,10 @@ Presentation.from_table builds the one Element of the result.  Both skip
 products meeting in the codec's zero mask (pairs whose product is zero or
 carries a vanishing {-1}-power).
 
-On the Tate target the squares act through the projective-space formula
-Sq^{2i}(eta^e) = binom(e, i) eta^{e+i} with sigma passing through, since
-the operations are stable under the Tate suspension; it acts key by key.
+On the Tate target the same formula acts key by key through the comparison
+map rho_j -> sigma eta^{j-1}: P^i(eta^e) = binom(e, i) eta^{e+i(p-1)}, zero
+from eta^n on, with sigma passing through, since the operations are stable
+under the Tate suspension.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class OperationKind(enum.Enum):
     ODD_SQUARE = "Sq-odd"
     POWER = "P"
     BOCKSTEIN = "beta"
+
+
+# the kinds of odd degree, which vanish on both rings
+_ODD = (OperationKind.ODD_SQUARE, OperationKind.BOCKSTEIN)
 
 
 @dataclass(frozen=True)
@@ -86,23 +91,13 @@ class Operation:
 
     @property
     def bidegree_shift(self) -> Bidegree:
-        if self.kind is OperationKind.SQUARE:
-            return Bidegree(2 * self.index, self.index)
-        if self.kind is OperationKind.ODD_SQUARE:
-            return Bidegree(2 * self.index + 1, self.index)
-        if self.kind is OperationKind.POWER:
-            d = self.index * (self.prime - 1)
-            return Bidegree(2 * d, d)
-        return Bidegree(1, 0)
+        d = 0 if self.kind is OperationKind.BOCKSTEIN else self.index * (self.prime - 1)
+        return Bidegree(2 * d + (self.kind in _ODD), d)
 
     def describe(self) -> str:
-        if self.kind is OperationKind.SQUARE:
-            return f"Sq^{2 * self.index}"
-        if self.kind is OperationKind.ODD_SQUARE:
-            return f"Sq^{2 * self.index + 1}"
-        if self.kind is OperationKind.POWER:
-            return f"P^{self.index}"
-        return "beta"
+        if self.prime == 2:  # Sq^k has degree k
+            return f"Sq^{self.bidegree_shift.p}"
+        return "beta" if self.kind in _ODD else f"P^{self.index}"
 
 
 def square(k: int) -> Operation:
@@ -130,6 +125,14 @@ def _require_context(ring: CoeffRing, profile: FieldProfile, p: int) -> None:
             f"operation is unavailable over a ground field of characteristic {p}")
 
 
+def _generator_value(i: int, j: int, p: int, n: int) -> tuple[int, int]:
+    """(target, c) with P^i(rho_j) = c rho_target, P^i being Sq^{2i} at
+    p = 2: target = j + i(p - 1) and c = binom(j - 1, i) mod p, with c = 0
+    beyond rho_n."""
+    target = j + i * (p - 1)
+    return target, binom_mod(j - 1, i, p) if target <= n else 0
+
+
 def sq_on_generator(i: int, j: int, pres: StiefelPresentation) -> Element:
     """Value of Sq^{2i} on the generator rho_j."""
     _require_context(pres.ring, pres.profile, 2)
@@ -137,10 +140,9 @@ def sq_on_generator(i: int, j: int, pres: StiefelPresentation) -> Element:
         raise ValueError("operation index must be nonnegative")
     if not pres.is_generator(j):
         raise InvalidGenerator(f"rho_{j} is not a generator of W({pres.n},{pres.m})")
-    if i + j > pres.n or binom_mod(j - 1, i, 2) == 0:
-        return pres.zero()
-    # i + j >= j >= n-m+1, so rho_{i+j} is again a generator
-    return pres.gen(j + i)
+    target, c = _generator_value(i, j, 2, pres.n)
+    # target >= j >= n-m+1, so rho_target is again a generator
+    return pres.gen(target) if c else pres.zero()
 
 
 def power_on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Element:
@@ -152,10 +154,7 @@ def power_on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Ele
         raise ValueError("operation index must be nonnegative")
     if not pres.is_generator(j):
         raise InvalidGenerator(f"rho_{j} is not a generator of W({pres.n},{pres.m})")
-    target = i * p + j - i
-    if target > pres.n:
-        return pres.zero()
-    c = binom_mod(j - 1, i, p)
+    target, c = _generator_value(i, j, p, pres.n)
     return pres.gen(target) * c if c else pres.zero()
 
 
@@ -166,7 +165,7 @@ def apply_operation(op: Operation, x: Element) -> Element:
     shift of every result is checked against the operation's bidegree."""
     pres = x.pres
     _require_context(pres.ring, pres.profile, op.prime)
-    if op.kind in (OperationKind.ODD_SQUARE, OperationKind.BOCKSTEIN):
+    if op.kind in _ODD:
         return pres.zero()
     apply = _apply_stiefel if isinstance(pres, StiefelPresentation) else _apply_tate
     out = apply(op, x)
@@ -281,19 +280,14 @@ def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
 
 
 def _apply_tate(op: Operation, x: Element) -> Element:
-    """An even operation on a Tate-target element: binom(e, k) eta^{e+step}."""
-    pres = x.pres
-    k = op.index
-    step = k if op.kind is OperationKind.SQUARE else k * (op.prime - 1)
+    """An even operation on a Tate-target element: sigma^s eta^e is read as
+    the generator rho_{e+1}, so its value is c sigma^s eta^{target-1}."""
     terms = []
     for (s, e), c in x.terms:
-        coeff = binom_mod(e, k, op.prime)
-        if not coeff:
-            continue
-        if e + step >= pres.n:
-            continue
-        terms.append(((s, e + step), c * coeff))
-    return Element(pres, tuple(terms))
+        target, coeff = _generator_value(op.index, e + 1, op.prime, x.pres.n)
+        if coeff:
+            terms.append(((s, target - 1), c * coeff))
+    return Element(x.pres, tuple(terms))
 
 
 def _check_shift(op: Operation, x, out) -> None:
