@@ -71,7 +71,11 @@ class FieldProfile:
     characteristic: int | None = None
 
     def __post_init__(self) -> None:
-        if self.characteristic not in (None, 0) and not is_prime(self.characteristic):
+        try:
+            prime = self.characteristic in (None, 0) or is_prime(self.characteristic)
+        except ValueError as exc:
+            raise InvalidPresentation(str(exc)) from None
+        if not prime:
             raise InvalidPresentation(
                 f"the characteristic of a field is 0 or a prime, got {self.characteristic}")
 
@@ -223,14 +227,38 @@ def unpack(value, modulus: int, twisted: int) -> tuple[tuple[int, int], ...]:
     return terms
 
 
+# Miller-Rabin to every one of these bases decides primality below
+# PRIME_LIMIT = psi_13, the least composite that passes them all
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, exactly: trial division by PRIME_BASES, then a
+    strong probable-prime test to each of them.  A p from PRIME_LIMIT on
+    with no factor among them raises ValueError."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"cannot decide whether {p} is prime: primality is decided "
+                         f"only below {PRIME_LIMIT}")
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -147,7 +147,11 @@ def sq_on_generator(i: int, j: int, pres: StiefelPresentation) -> Element:
 
 def power_on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Element:
     """Value of P^i on the generator rho_j at the odd prime p."""
-    if p == 2 or not is_prime(p):
+    try:
+        odd_prime = p != 2 and is_prime(p)
+    except ValueError as exc:
+        raise InadmissibleOperation(str(exc)) from None
+    if not odd_prime:
         raise InadmissibleOperation(f"reduced powers need an odd prime, got {p}")
     _require_context(pres.ring, pres.profile, p)
     if i < 0:

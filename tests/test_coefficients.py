@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stiefel.algebra import StiefelPresentation
-from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient,
+from stiefel import coefficients
+from stiefel.coefficients import (PRIME_LIMIT, Bidegree, CoeffRing, FieldProfile, MCoefficient,
                                   binom_mod, is_prime, pack, twisted_modulus, unpack)
-from stiefel.errors import ContextMismatch, InvalidPresentation
+from stiefel.errors import ContextMismatch, InadmissibleOperation, InvalidPresentation
+from stiefel.operations import Operation, OperationKind, power_on_generator
 
 Z = CoeffRing()
 Z2 = CoeffRing(2)
@@ -174,3 +176,60 @@ def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+# psi_4, psi_11 and psi_12: the least strong pseudoprimes to the first 4,
+# 11 and 12 prime bases, so only the later bases reject them
+PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+class TestIsPrime:
+    def test_every_number_below_ten_to_the_five_against_a_sieve(self):
+        size = 10**5
+        sieve = bytearray([1]) * size
+        sieve[0] = sieve[1] = 0
+        for d in range(2, math.isqrt(size) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytearray(len(range(d * d, size, d)))
+        assert [p for p in range(size) if is_prime(p)] == [p for p in range(size) if sieve[p]]
+        assert not any(is_prime(p) for p in range(-5, 0))
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(19)
+        draws = [rng.randrange(2, 10**bits) for bits in (6, 12, 18, 24) for _ in range(250)]
+        draws += [rng.randrange(2, PRIME_LIMIT) | 1 for _ in range(250)]
+        for p in draws + PSEUDOPRIMES:
+            assert is_prime(p) == sympy.isprime(p), p
+
+    def test_the_last_base_is_needed(self, monkeypatch):
+        assert not is_prime(PSEUDOPRIMES[-1])
+        monkeypatch.setattr(coefficients, "PRIME_BASES", coefficients.PRIME_BASES[:-1])
+        assert is_prime(PSEUDOPRIMES[-1])
+
+    def test_undecided_from_the_limit_on(self):
+        # psi_13 passes every base: it and any p beyond with no small factor
+        # are refused, not guessed
+        for p in (PRIME_LIMIT, PRIME_LIMIT + 142, 2**89 - 1):  # + 142: the next prime
+            with pytest.raises(ValueError, match="cannot decide whether"):
+                is_prime(p)
+        assert not is_prime(2 * PRIME_LIMIT)
+        assert not is_prime(3 * 10**40)
+
+    def test_every_caller_refuses_with_its_own_error(self):
+        with pytest.raises(InvalidPresentation, match="cannot decide whether"):
+            FieldProfile(characteristic=PRIME_LIMIT)
+        for kind in (OperationKind.POWER, OperationKind.BOCKSTEIN):
+            with pytest.raises(ValueError, match="cannot decide whether"):
+                Operation(PRIME_LIMIT, kind, 1)
+        with pytest.raises(ValueError, match="cannot decide whether"):
+            binom_mod(3, 1, PRIME_LIMIT)
+        pres = StiefelPresentation(3, 3, CoeffRing(PRIME_LIMIT), PLAIN)
+        with pytest.raises(InadmissibleOperation, match="cannot decide whether"):
+            power_on_generator(1, 2, PRIME_LIMIT, pres)
+
+    def test_large_primes_in_bounded_time(self):
+        mersenne = 2**61 - 1
+        assert is_prime(mersenne) and is_prime(10**12 + 39) and is_prime(10**14 + 31)
+        assert FieldProfile(characteristic=mersenne).characteristic == mersenne
+        assert binom_mod(5, 2, mersenne) == 10
