@@ -102,7 +102,7 @@ def parse_element(token: str, pres: StiefelPresentation) -> Element:
         return pres.gen(int(hit.group(1)))
     hit = re.fullmatch(r"L(?:\^(\d+))?", token)
     if hit:
-        return pres.minus_one(int(hit.group(1) or 1))
+        return pres.minus_one(serialize.minus_one_power(int(hit.group(1) or 1)))
     raise ElementParseError(
         f"cannot parse element {token!r}: use r<i>, L, L^<k>, 0, 1 or element JSON")
 

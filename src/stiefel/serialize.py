@@ -19,6 +19,19 @@ from .algebra import Element, Presentation, StiefelPresentation
 from .coefficients import CoeffRing, FieldProfile, MCoefficient
 from .errors import ElementParseError, json_int
 
+# the largest {-1}-power that element input takes: far above any power
+# that the rings' relations or a README example give, while a product of
+# two such classes still packs into a bitset (coefficients.pack) of 250 kB
+MAX_MINUS_ONE_POWER = 10**6
+
+
+def minus_one_power(k: int) -> int:
+    """k if element input takes the power {-1}^k, else ElementParseError."""
+    if k > MAX_MINUS_ONE_POWER:
+        raise ElementParseError(
+            f"{{-1}}-power {k} is above the {MAX_MINUS_ONE_POWER} that element input takes")
+    return k
+
 
 def parse_coeff(name: str) -> CoeffRing:
     if name == "Z":
@@ -43,7 +56,7 @@ def _mcoeff_from_list(data, ring: CoeffRing, profile: FieldProfile) -> MCoeffici
     for entry in data:
         if not isinstance(entry, dict) or set(entry) != {"k", "c"}:
             raise ElementParseError(f"malformed mcoeff entry {entry!r}")
-        terms.append((json_int(entry["k"], "k"), json_int(entry["c"], "c")))
+        terms.append((minus_one_power(json_int(entry["k"], "k")), json_int(entry["c"], "c")))
     try:
         return MCoefficient(ring, profile, tuple(terms))
     except ValueError as exc:

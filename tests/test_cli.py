@@ -13,7 +13,7 @@ from stiefel import suites
 from stiefel.algebra import basis_element, basis_in_bidegree, piece_size
 from stiefel.cli import build_presentation, main
 from stiefel.render import basis_report, element_text
-from stiefel.serialize import element_from_json
+from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json
 
 from suite_runs import shared_result, suite_run
 
@@ -174,6 +174,43 @@ class TestBadCharacteristic:
         assert result.exit_code == 2
         assert result.output.splitlines()[-1] == (
             f"Error: the characteristic of a field is 0 or a prime, got {char}")
+
+
+M61 = 2**61 - 1  # a Mersenne prime, past the reach of trial division
+PSI_13 = 3317044064679887385961981  # from here on primality is not decided
+
+
+def minus_one_json(k):
+    return json.dumps({"n": 3, "m": 3, "coeff": "Z", "minus_one_is_square": False,
+                       "terms": [{"gens": [1], "mcoeff": [{"k": k, "c": 1}]}]})
+
+
+BOUNDED = [
+    (["power", "-i", "1", "-p", str(M61), "r1", "-n", "3", "--coeff", f"Z/{M61}"], 0, "0"),
+    (["mul", "r2", "r2", "-n", "3", "--char", str(M61)], 0, "{-1} r3"),
+    (["mul", f"L^{MAX_MINUS_ONE_POWER}", f"L^{MAX_MINUS_ONE_POWER}", "-n", "3", "--coeff", "Z"],
+     0, f"{{-1}}^{2 * MAX_MINUS_ONE_POWER}"),
+    (["mul", "r2", "r2", "-n", "3", "--char", str(PSI_13)], 2,
+     f"Error: cannot decide whether {PSI_13} is prime: primality is decided only below {PSI_13}"),
+    (["power", "-i", "1", "-p", str(PSI_13), "r1", "-n", "3", "--coeff", f"Z/{PSI_13}"], 2,
+     f"Error: cannot decide whether {PSI_13} is prime: primality is decided only below {PSI_13}"),
+    (["mul", "L^1000000000000", "r1", "-n", "3", "--coeff", "Z"], 2,
+     "Error: {-1}-power 1000000000000 is above the 1000000 that element input takes"),
+    (["mul", minus_one_json(MAX_MINUS_ONE_POWER + 1), "r1", "-n", "3", "--coeff", "Z"], 2,
+     "Error: {-1}-power 1000001 is above the 1000000 that element input takes"),
+]
+
+
+@pytest.mark.parametrize("args, code, last", BOUNDED, ids=[
+    "power at 2^61-1", "char 2^61-1", "L^bound squared", "char psi_13", "power at psi_13",
+    "L^10^12", "json k above bound"])
+def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
+    start = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == code
+    assert result.output.splitlines()[-1] == last
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 # each ring command with arguments of its own that fail too, so that the
@@ -346,7 +383,7 @@ class TestMap:
         assert result.exit_code == 2
 
     def test_cmp_json_output(self):
-        from stiefel.serialize import element_from_json
+        from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json
         from stiefel.targets import PGmPresentation
         result = run("map", "cmp", "r3", "-n", "3", "--format", "json")
         assert result.exit_code == 0

@@ -5,8 +5,8 @@ import pytest
 from stiefel.algebra import StiefelPresentation, random_element
 from stiefel.coefficients import CoeffRing, FieldProfile
 from stiefel.errors import ElementParseError
-from stiefel.serialize import (element_from_dict, element_from_json, element_to_dict,
-                               element_to_json, parse_coeff)
+from stiefel.serialize import (MAX_MINUS_ONE_POWER, element_from_dict, element_from_json,
+                               element_to_dict, element_to_json, parse_coeff)
 from stiefel.targets import PGmPresentation
 
 
@@ -107,6 +107,19 @@ class TestRejection:
                       [{"gens": "1", "mcoeff": []}]):
             with pytest.raises(ElementParseError):
                 element_from_dict({**base, "terms": terms})
+
+    def test_minus_one_power_bound(self):
+        base = {"n": 2, "m": 2, "coeff": "Z", "minus_one_is_square": False}
+        for kind, key in ((StiefelPresentation, {"gens": [1]}),
+                          (PGmPresentation, {"s": 0, "e": 1})):
+            data = {**base, "terms": [{**key, "mcoeff": [{"k": MAX_MINUS_ONE_POWER, "c": 1}]}]}
+            if kind is PGmPresentation:
+                del data["m"]
+            x = element_from_dict(data, kind)
+            assert x.terms[0][1].powers() == (MAX_MINUS_ONE_POWER,)
+            data["terms"][0]["mcoeff"][0]["k"] += 1
+            with pytest.raises(ElementParseError, match="above the 1000000"):
+                element_from_dict(data, kind)
 
     def test_canonical_json_is_stable(self):
         pres = StiefelPresentation(3, 3, CoeffRing(2))
