@@ -116,6 +116,9 @@ class TestMul:
     def test_generator_out_of_range(self):
         result = run("mul", "r9", "r2", "-n", "3", "-m", "3")
         assert result.exit_code == 3
+        result = run("mul", "r0", "r2", "-n", "3")
+        assert result.exit_code == 3
+        assert result.output.splitlines() == ["error: rho_0 is not a generator of W(3,3)"]
 
 
 class TestOperations:

@@ -141,6 +141,34 @@ class TestGeneratorLevelMaps:
         x = f.source.gen(1) + f.source.minus_one() * f.source.gen(3)
         assert apply_map(f, x) == f.target.gen(1)
 
+    @pytest.mark.parametrize("ring", (Z, Z2, CoeffRing(3)), ids=["Z", "Z/2", "Z/3"])
+    @pytest.mark.parametrize("profile", MAP_PROFILES, ids=["nonsquare", "square"])
+    def test_diagonal_map_verdicts(self, ring, profile):
+        # rho_i -> c_i rho_i respects rho_i^2 = {-1} rho_{2i-1} (0 once 2i-1 > n)
+        # iff c_i^2 = c_{2i-1} wherever {-1} rho_{2i-1} survives; {-1}-multiples
+        # lie in R/2R, which is Z/2 over Z and Z/2, and 0 over Z/3 or with -1 a
+        # square
+        survives = ring.modulus % 2 == 0 and not profile.minus_one_is_square
+        rng = random.Random(20)
+        for n in range(1, 9):
+            for m in range(n + 1):
+                pres = StiefelPresentation(n, m, ring, profile)
+                gens = list(pres.generators)
+                draws = [{i: rng.choice((0, 1, 2)) for i in gens} for _ in range(4)]
+                # the boundary indices 2i - 1 = n and 2i - 1 = n + 1, with an
+                # odd c_i against an even c_{2i-1} where both are generators
+                for i in ((n + 1) // 2, n // 2 + 1):
+                    if pres.is_generator(i):
+                        cs = {j: 1 for j in gens}
+                        if 2 * i - 1 <= n and 2 * i - 1 != i:
+                            cs[2 * i - 1] = 2
+                        draws.append(cs)
+                for cs in draws:
+                    expected = survives and any(
+                        2 * i - 1 <= n and (cs[i] ** 2 - cs[2 * i - 1]) % 2 for i in gens)
+                    f = ring_map(pres, pres, {i: pres.gen(i) * cs[i] for i in gens}, "diag")
+                    assert f.generator_level_only == expected, (n, m, cs)
+
     def test_products_rejected(self):
         f = self.make_bad_map()
         with pytest.raises(SpanError):

@@ -206,6 +206,26 @@ class TestAdmissibility:
              "rho_1 is not a generator of W(4,2)"),
             (lambda: power_on_generator(1, 5, 3, gl(4, 3)), InvalidGenerator,
              "rho_5 is not a generator of W(4,4)"),
+            # one index below W(4,2)'s range 3..4 and one above, at every front
+            (lambda: w42.gen(2), InvalidGenerator, "rho_2 is not a generator of W(4,2)"),
+            (lambda: w42.gen(5), InvalidGenerator, "rho_5 is not a generator of W(4,2)"),
+            (lambda: w42.gen_square(2), InvalidGenerator, "rho_2 is not a generator of W(4,2)"),
+            (lambda: w42.gen_square(5), InvalidGenerator, "rho_5 is not a generator of W(4,2)"),
+            (lambda: w42.monomial((2, 3)), InvalidGenerator,
+             "rho_2 is not a generator of W(4,2)"),
+            (lambda: w42.monomial((3, 5)), InvalidGenerator,
+             "rho_5 is not a generator of W(4,2)"),
+            # check_key reports the first index outside the range
+            (lambda: Element(w42, (((1, 5), MCoefficient.one(CoeffRing(2), PLAIN)),)),
+             InvalidGenerator, "rho_1 is not a generator of W(4,2)"),
+            (lambda: Element(w42, (((4, 5, 6), MCoefficient.one(CoeffRing(2), PLAIN)),)),
+             InvalidGenerator, "rho_5 is not a generator of W(4,2)"),
+            (lambda: apply_operation(square(2), w42.monomial((1,))), InvalidGenerator,
+             "rho_1 is not a generator of W(4,2)"),
+            (lambda: sq_on_generator(1, 5, w42), InvalidGenerator,
+             "rho_5 is not a generator of W(4,2)"),
+            (lambda: power_on_generator(1, 2, 3, StiefelPresentation(4, 2, CoeffRing(3))),
+             InvalidGenerator, "rho_2 is not a generator of W(4,2)"),
         ]
         for call, kind, message in cases:
             with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
