@@ -159,19 +159,21 @@ class StiefelPresentation(Presentation):
     def is_generator(self, i: int) -> bool:
         return self.n - self.m + 1 <= i <= self.n
 
-    def gen(self, i: int) -> "Element":
+    def require_generator(self, i: int) -> int:
+        """i if rho_i is a generator, else the package's one InvalidGenerator."""
         if not self.is_generator(i):
             raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
-        return Element(self, (((i,), MCoefficient.one(self.ring, self.profile)),))
+        return i
+
+    def gen(self, i: int) -> "Element":
+        return self.element((self.require_generator(i),))
 
     def monomial(self, indices: Iterable[int], coeff: int | MCoefficient = 1) -> "Element":
         return self.element(tuple(indices), coeff)
 
     def gen_square(self, i: int) -> "Element":
         """The value of rho_i^2 forced by the defining relation."""
-        if not self.is_generator(i):
-            raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
-        if 2 * i - 1 > self.n:
+        if 2 * self.require_generator(i) - 1 > self.n:
             return self.zero()
         return self.element((2 * i - 1,), MCoefficient.minus_one(self.ring, self.profile))
 
@@ -181,8 +183,7 @@ class StiefelPresentation(Presentation):
             raise ValueError(f"monomial indices must be strictly increasing, got {mono}")
         # increasing, so the ends bound every index
         if mono and (mono[0] <= self.n - self.m or mono[-1] > self.n):
-            i = next(i for i in mono if not self.is_generator(i))
-            raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
+            self.require_generator(next(i for i in mono if not self.is_generator(i)))
         return mono
 
     @staticmethod

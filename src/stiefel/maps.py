@@ -16,8 +16,9 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import Element, Presentation, StiefelPresentation, table_product
-from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, pack, unpack
+from .algebra import (Element, Presentation, StiefelPresentation, monomial_bidegree,
+                      table_product)
+from .coefficients import CoeffRing, FieldProfile, MCoefficient, pack, unpack
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from .linalg import module_kernel
 from .targets import PGmPresentation
@@ -67,7 +68,7 @@ def ring_map(source: StiefelPresentation, target: Presentation,
         img = images[i]
         if img.pres != target:
             raise ContextMismatch(f"image of rho_{i} does not live in the target ring")
-        expected = Bidegree(2 * i - 1, i)
+        expected = monomial_bidegree((i,))
         if any(bd != expected for bd in img.bidegrees()):
             raise ValueError(f"image of rho_{i} is not homogeneous of bidegree {expected}")
         imgs[i] = img
@@ -78,14 +79,9 @@ def ring_map(source: StiefelPresentation, target: Presentation,
 
 def _respects_square(source: StiefelPresentation, imgs: Mapping[int, Element],
                      i: int) -> bool:
-    lhs = imgs[i] * imgs[i]
-    square_image = imgs.get(2 * i - 1) if 2 * i - 1 <= source.n else None
-    if square_image is None:
-        # a non-generator or overflow index reads as 0
-        rhs = imgs[i].pres.zero()
-    else:
-        rhs = MCoefficient.minus_one(source.ring, source.profile) * square_image
-    return lhs == rhs
+    # the image of rho_i^2, which gen_square gives as {-1} rho_{2i-1} or 0
+    rhs = sum((c * imgs[j] for (j,), c in source.gen_square(i).terms), imgs[i].pres.zero())
+    return imgs[i] * imgs[i] == rhs
 
 
 def _term_image(f: RingMap):

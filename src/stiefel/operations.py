@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from .algebra import (Element, StiefelPresentation, _normal_word, _shapes, monomial_bidegree,
                       table_product)
 from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime, pack
-from .errors import InadmissibleOperation, InvalidGenerator
+from .errors import InadmissibleOperation
 
 
 class OperationKind(enum.Enum):
@@ -135,14 +135,7 @@ def _generator_value(i: int, j: int, p: int, n: int) -> tuple[int, int]:
 
 def sq_on_generator(i: int, j: int, pres: StiefelPresentation) -> Element:
     """Value of Sq^{2i} on the generator rho_j."""
-    _require_context(pres.ring, pres.profile, 2)
-    if i < 0:
-        raise ValueError("operation index must be nonnegative")
-    if not pres.is_generator(j):
-        raise InvalidGenerator(f"rho_{j} is not a generator of W({pres.n},{pres.m})")
-    target, c = _generator_value(i, j, 2, pres.n)
-    # target >= j >= n-m+1, so rho_target is again a generator
-    return pres.gen(target) if c else pres.zero()
+    return _on_generator(i, j, 2, pres)
 
 
 def power_on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Element:
@@ -153,13 +146,18 @@ def power_on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Ele
         raise InadmissibleOperation(str(exc)) from None
     if not odd_prime:
         raise InadmissibleOperation(f"reduced powers need an odd prime, got {p}")
+    return _on_generator(i, j, p, pres)
+
+
+def _on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Element:
+    """P^i(rho_j), P^i being Sq^{2i} at p = 2, after the context, index and
+    generator checks, in that order."""
     _require_context(pres.ring, pres.profile, p)
     if i < 0:
         raise ValueError("operation index must be nonnegative")
-    if not pres.is_generator(j):
-        raise InvalidGenerator(f"rho_{j} is not a generator of W({pres.n},{pres.m})")
-    target, c = _generator_value(i, j, p, pres.n)
-    return pres.gen(target) * c if c else pres.zero()
+    target, c = _generator_value(i, pres.require_generator(j), p, pres.n)
+    # target >= j >= n-m+1, so rho_target is again a generator
+    return pres.element((target,), c) if c else pres.zero()
 
 
 def apply_operation(op: Operation, x: Element) -> Element:

@@ -6,7 +6,7 @@ ASCII naming on the text side: r<i> for rho_i, s for sigma, e for eta, and
 
 from __future__ import annotations
 
-from .algebra import Element, StiefelPresentation, poincare_polynomial
+from .algebra import Element, StiefelPresentation, monomial_bidegree, poincare_polynomial
 from .coefficients import Bidegree
 
 
@@ -59,8 +59,6 @@ def element_text(x: Element, latex: bool = False) -> str:
 
 
 def presentation_text(pres: StiefelPresentation) -> str:
-    from .algebra import monomial_bidegree
-
     profile = "square" if pres.profile.minus_one_is_square else "nonsquare"
     lines = [f"H(W({pres.n},{pres.m}); {pres.ring.name})   [{{-1}} {profile}]"]
     if pres.m == 0:
@@ -88,7 +86,7 @@ def presentation_latex(pres: StiefelPresentation) -> str:
             if pres.m else
             f"H^{{*,*}}(W({pres.n},{pres.m})) = \\mathbb{{M}}")
     degrees = " \\quad ".join(
-        f"|\\rho_{{{i}}}| = ({2 * i - 1},{i})" for i in pres.generators)
+        f"|\\rho_{{{i}}}| = {monomial_bidegree((i,))}" for i in pres.generators)
     lines = [
         "\\documentclass{article}",
         "\\usepackage{amsmath,amssymb}",
@@ -113,7 +111,7 @@ def presentation_dict(pres: StiefelPresentation) -> dict:
         "m": pres.m,
         "coeff": pres.ring.name,
         "minus_one_is_square": pres.profile.minus_one_is_square,
-        "generators": [{"i": i, "p": 2 * i - 1, "q": i} for i in pres.generators],
+        "generators": [{"i": i, **monomial_bidegree((i,))._asdict()} for i in pres.generators],
         "relations": [{"i": i, "square": element_to_dict(pres.gen_square(i))["terms"]}
                       for i in pres.generators],
     }
