@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 usage error, 3 math-context error (also a basis
-piece of more than MAX_BASIS_LINES lines, or a Poincare series of more
-than MAX_SERIES_TERMS terms), 4 property failure.  The environment
+piece of more than MAX_BASIS_LINES lines, a Poincare series of more than
+MAX_SERIES_TERMS terms, or a presentation of more than
+MAX_PRESENT_GENERATORS generators), 4 property failure.  The environment
 variable STIEFEL_SEED overrides --seed.
 
 Every ring command takes its ring through ring_options, which hands it one
@@ -38,6 +39,10 @@ MAX_BASIS_LINES = 100_000
 # `series` refuses series with more terms than this, counted before expanding:
 # W(n, m) with m <= 39, which prints in well under a second
 MAX_SERIES_TERMS = 10_000
+# `present` refuses rings with more generators than this, before building
+# anything: its output has a line or an entry per generator, and 10,000 of
+# them print in well under a second
+MAX_PRESENT_GENERATORS = 10_000
 
 
 def guarded(fn):
@@ -99,12 +104,23 @@ def parse_element(token: str, pres: StiefelPresentation) -> Element:
         return pres.unit()
     hit = re.fullmatch(r"r(\d+)", token)
     if hit:
-        return pres.gen(int(hit.group(1)))
+        return pres.gen(_token_int(hit.group(1), "generator index"))
     hit = re.fullmatch(r"L(?:\^(\d+))?", token)
     if hit:
-        return pres.minus_one(serialize.minus_one_power(int(hit.group(1) or 1)))
+        k = _token_int(hit.group(1) or "1", "{-1}-power")
+        return pres.minus_one(serialize.minus_one_power(k))
     raise ElementParseError(
         f"cannot parse element {token!r}: use r<i>, L, L^<k>, 0, 1 or element JSON")
+
+
+def _token_int(digits: str, what: str) -> int:
+    """int(digits), or ElementParseError where Python refuses to convert
+    that many digits (4,300 by default, sys.set_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ElementParseError(
+            f"{what} of {len(digits)} digits is longer than element input takes") from None
 
 
 def emit_element(x, fmt: str) -> None:
@@ -126,6 +142,9 @@ def main():
 @ring_options
 def present(pres, fmt):
     """Print the ring presentation of H(W(n, m))."""
+    if pres.m > MAX_PRESENT_GENERATORS:
+        raise StiefelError(f"W({pres.n},{pres.m}) has {pres.m} generators, "
+                           f"more than the {MAX_PRESENT_GENERATORS} that present prints")
     if fmt == "json":
         click.echo(json.dumps(presentation_dict(pres)))
     elif fmt == "latex":

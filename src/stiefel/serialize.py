@@ -112,8 +112,10 @@ def element_to_json(x: Element) -> str:
 
 
 def element_from_json(text: str, kind: type[Presentation] = StiefelPresentation) -> Element:
+    # a ValueError also stands for an integer of more digits than Python
+    # converts, and a RecursionError for nesting deeper than json parses
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ElementParseError(f"invalid JSON: {exc}") from exc
     return element_from_dict(data, kind)

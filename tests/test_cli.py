@@ -51,6 +51,24 @@ class TestPresent:
         data = json.loads(result.output)
         assert [g["i"] for g in data["generators"]] == [1, 2, 3]
 
+    def test_guard_refuses_quickly(self):
+        # -n 100000000 had grown to 3.8 GB of RSS after 5 minutes before the guard
+        start = time.perf_counter()
+        result = run("present", "-n", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            "error: W(100000000,100000000) has 100000000 generators, "
+            "more than the 10000 that present prints"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_guard_lets_the_largest_presentation_through(self, fmt):
+        start = time.perf_counter()
+        result = run("present", "-n", "1000000", "-m", "10000", "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert run("present", "-n", "10001", "--format", fmt).exit_code == 3
+
 
 class TestMul:
     def test_spec_example(self):
@@ -181,6 +199,7 @@ class TestBadCharacteristic:
 
 M61 = 2**61 - 1  # a Mersenne prime, past the reach of trial division
 PSI_13 = 3317044064679887385961981  # from here on primality is not decided
+HUGE = "1" * 5000
 
 
 def minus_one_json(k):
@@ -201,12 +220,25 @@ BOUNDED = [
      "Error: {-1}-power 1000000000000 is above the 1000000 that element input takes"),
     (["mul", minus_one_json(MAX_MINUS_ONE_POWER + 1), "r1", "-n", "3", "--coeff", "Z"], 2,
      "Error: {-1}-power 1000001 is above the 1000000 that element input takes"),
+    # integers of more digits than Python converts from a string (4,300)
+    (["mul", "r" + HUGE, "r1", "-n", "3"], 2,
+     "Error: generator index of 5000 digits is longer than element input takes"),
+    (["mul", "L^" + HUGE, "r1", "-n", "3"], 2,
+     "Error: {-1}-power of 5000 digits is longer than element input takes"),
+    (["mul", minus_one_json(0).replace('"k": 0', '"k": ' + HUGE), "r1", "-n", "3"], 2,
+     "Error: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    # nesting deeper than json parses, in a 1.5 kB argument
+    (["mul", '{"a":' + "[" * 1500, "r1", "-n", "3"], 2,
+     "Error: invalid JSON: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
 ]
 
 
 @pytest.mark.parametrize("args, code, last", BOUNDED, ids=[
     "power at 2^61-1", "char 2^61-1", "L^bound squared", "char psi_13", "power at psi_13",
-    "L^10^12", "json k above bound"])
+    "L^10^12", "json k above bound", "r<5000 digits>", "L^<5000 digits>",
+    "json int of 5000 digits", "json nested 1500 deep"])
 def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     start = time.perf_counter()
     result = run(*args)

@@ -108,6 +108,16 @@ class TestRejection:
             with pytest.raises(ElementParseError):
                 element_from_dict({**base, "terms": terms})
 
+    def test_huge_integers_and_deep_nesting(self):
+        # more digits than Python converts from a string, and more nesting
+        # than json parses, are parse errors, not a ValueError or RecursionError
+        text = element_to_json(StiefelPresentation(3, 3).gen(1))
+        for bad in (text.replace('"n": 3', '"n": ' + "1" * 5000), '{"n": ' + "[" * 1500,
+                    '{"n": ' + "[" * 1500 + "]" * 1500 + "}"):
+            with pytest.raises(ElementParseError, match="^invalid JSON: ") as caught:
+                element_from_json(bad)
+            assert type(caught.value) is ElementParseError
+
     def test_minus_one_power_bound(self):
         base = {"n": 2, "m": 2, "coeff": "Z", "minus_one_is_square": False}
         for kind, key in ((StiefelPresentation, {"gens": [1]}),
