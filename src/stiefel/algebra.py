@@ -160,7 +160,7 @@ class StiefelPresentation(Presentation):
         return self.n - self.m + 1 <= i <= self.n
 
     def require_generator(self, i: int) -> int:
-        """i if rho_i is a generator, else the package's one InvalidGenerator."""
+        """i if rho_i is a generator, else InvalidGenerator; every front checks here."""
         if not self.is_generator(i):
             raise InvalidGenerator(f"rho_{i} is not a generator of W({self.n},{self.m})")
         return i
