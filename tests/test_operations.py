@@ -6,7 +6,8 @@ import re
 import pytest
 
 from stiefel import operations
-from stiefel.algebra import Element, StiefelPresentation, all_monomials, random_element
+from stiefel.algebra import (Element, StiefelPresentation, all_monomials, poincare_polynomial,
+                             random_element)
 from stiefel.coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import InadmissibleOperation, InvalidGenerator
 from stiefel.operations import (Operation, OperationKind, apply_operation, bockstein, power,
@@ -421,6 +422,39 @@ class TestTopMonomials:
                 x = pres.monomial(mono)
                 assert apply_operation(op, x) == reference_apply(cartan, op, x), \
                     (op.describe(), mono)
+
+
+# every line of the densest piece of GL(n), where many terms share generators
+FULL_PIECES = [(12, 2, square(6)), (14, 2, square(8)), (16, 2, square(12)), (14, 3, power(2, 3))]
+
+
+@pytest.mark.parametrize("n, p, op", FULL_PIECES,
+                         ids=[f"GL({n}) {op.describe()}" for n, p, op in FULL_PIECES])
+def test_full_pieces_against_reference(n, p, op):
+    pres = gl(n, p)
+    series = poincare_polynomial(pres)
+    x = random_element(pres, max(series, key=lambda bd: (series[bd], bd)), seed=1)
+    assert len(x.terms) > 50
+    assert apply_operation(op, x) == reference_apply(reference_cartan(op, pres), op, x)
+
+
+def one_step_sq2(pres, mono):
+    """Sq^2 of a monomial over Z/2 by the Cartan formula, one generator at a
+    time: Sq^2(rho_J) = sum over even j in J of monomial(J - {j}) rho_{j+1},
+    since Sq^2(rho_j) = (j - 1) rho_{j+1} and signs vanish mod 2."""
+    out = pres.zero()
+    for j in mono:
+        if j % 2 == 0:
+            out = out + pres.monomial(tuple(i for i in mono if i != j)) * pres.gen(j + 1)
+    return out
+
+
+def test_sq2_on_a_long_monomial():
+    # reference_cartan recurses once per generator, so a formula is the oracle
+    pres = gl(800, 2)
+    mono = tuple(range(1, 401))
+    y = apply_operation(square(2), pres.monomial(mono))
+    assert y and y == one_step_sq2(pres, mono)
 
 
 def reduced_power(i, p):
