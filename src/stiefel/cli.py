@@ -27,7 +27,7 @@ from . import serialize
 from .algebra import Element, StiefelPresentation, basis_in_bidegree, piece_size
 from .coefficients import FieldProfile
 from .errors import (ContextMismatch, ElementParseError, InvalidPresentation,
-                     StiefelError)
+                     StiefelError, digits_int)
 from .render import (basis_report, element_text, presentation_dict,
                      presentation_latex, presentation_text, series_entries,
                      series_text)
@@ -104,23 +104,13 @@ def parse_element(token: str, pres: StiefelPresentation) -> Element:
         return pres.unit()
     hit = re.fullmatch(r"r(\d+)", token)
     if hit:
-        return pres.gen(_token_int(hit.group(1), "generator index"))
+        return pres.gen(digits_int(hit.group(1), "generator index"))
     hit = re.fullmatch(r"L(?:\^(\d+))?", token)
     if hit:
-        k = _token_int(hit.group(1) or "1", "{-1}-power")
+        k = digits_int(hit.group(1) or "1", "{-1}-power")
         return pres.minus_one(serialize.minus_one_power(k))
     raise ElementParseError(
         f"cannot parse element {token!r}: use r<i>, L, L^<k>, 0, 1 or element JSON")
-
-
-def _token_int(digits: str, what: str) -> int:
-    """int(digits), or ElementParseError where Python refuses to convert
-    that many digits (4,300 by default, sys.set_int_max_str_digits)."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ElementParseError(
-            f"{what} of {len(digits)} digits is longer than element input takes") from None
 
 
 def emit_element(x, fmt: str) -> None:

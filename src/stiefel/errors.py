@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer check
-of element JSON that raises its parse error."""
+"""Exception hierarchy shared across the package, and the integer checks
+of element input that raise its parse error."""
 
 
 class StiefelError(Exception):
@@ -36,3 +36,13 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ElementParseError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def digits_int(digits: str, what: str = "JSON integer") -> int:
+    """int(digits), or ElementParseError where Python refuses to convert
+    that many digits (4,300 by default, sys.set_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ElementParseError(f"{what} of {len(digits.lstrip('-'))} digits is longer "
+                                "than element input takes") from None

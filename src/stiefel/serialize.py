@@ -17,7 +17,7 @@ import re
 
 from .algebra import Element, Presentation, StiefelPresentation
 from .coefficients import CoeffRing, FieldProfile, MCoefficient
-from .errors import ElementParseError, json_int
+from .errors import ElementParseError, digits_int, json_int
 
 # the largest {-1}-power that element input takes: far above any power
 # that the rings' relations or a README example give, while a product of
@@ -112,10 +112,12 @@ def element_to_json(x: Element) -> str:
 
 
 def element_from_json(text: str, kind: type[Presentation] = StiefelPresentation) -> Element:
-    # a ValueError also stands for an integer of more digits than Python
-    # converts, and a RecursionError for nesting deeper than json parses
+    # digits_int refuses integers of more digits than Python converts, and
+    # a RecursionError stands for nesting deeper than json parses
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=digits_int)
+    except ElementParseError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise ElementParseError(f"invalid JSON: {exc}") from exc
     return element_from_dict(data, kind)

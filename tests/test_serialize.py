@@ -112,10 +112,15 @@ class TestRejection:
         # more digits than Python converts from a string, and more nesting
         # than json parses, are parse errors, not a ValueError or RecursionError
         text = element_to_json(StiefelPresentation(3, 3).gen(1))
-        for bad in (text.replace('"n": 3', '"n": ' + "1" * 5000), '{"n": ' + "[" * 1500,
-                    '{"n": ' + "[" * 1500 + "]" * 1500 + "}"):
+        for bad in ('{"n": ' + "[" * 1500, '{"n": ' + "[" * 1500 + "]" * 1500 + "}"):
             with pytest.raises(ElementParseError, match="^invalid JSON: ") as caught:
                 element_from_json(bad)
+            assert type(caught.value) is ElementParseError
+        for digits in ("1" * 5000, "-" + "1" * 5000):
+            with pytest.raises(ElementParseError) as caught:
+                element_from_json(text.replace('"n": 3', '"n": ' + digits))
+            assert str(caught.value) == (
+                "JSON integer of 5000 digits is longer than element input takes")
             assert type(caught.value) is ElementParseError
 
     def test_minus_one_power_bound(self):
