@@ -9,7 +9,7 @@ Every odd square and the Bockstein vanish on these classes, so
 apply_operation returns zero for them (after the same context checks).
 The action extends to monomials by the Cartan sum
 
-    P^k(w rho_j) = sum_{a+b=k} P^a(w) P^b(rho_j);
+    P^k(rho_j w) = sum_{a+b=k} P^b(rho_j) P^a(w);
 
 odd operations are declared zero on rho-monomials,
 which makes every odd cross-term of the general Cartan expansion vanish.
@@ -20,24 +20,21 @@ A value of a degree-(2d, d) operation on a monomial w lies in the graded
 piece of bidegree(w) + (2d, d), and that piece often has no basis line
 (algebra._shapes tells in O(m)).  So each call first drops the input
 terms whose target piece is empty: their values are zero, {-1}-multiples
-included, and neither the generator rows nor the recursion see them.
+included, and neither the generator rows nor the kernel see them.
 
-The Cartan sum runs on plain integers.  Each call then tabulates the
-nonzero generator values (b, rho_target bit, binomial) for the generators
-of the surviving terms, read off their monomial tuples; since target =
-j + b(p-1) must stay <= n, a table row has at most (n - j)/(p - 1) + 1
-entries however large the index.  At p = 2 the rows are the submasks b of
-j - 1 (Lucas' theorem), listed without a binomial.  The recursion
-(_cartan) maps a monomial bitmask and a degree to {mask: int},
-multiplying by one generator value per step: over Z/p one int holds a
-whole coefficient, a bitset of the Z/2 coefficients of the {-1}-powers
-when they survive (then p = 2), and otherwise a residue mod p, which is
-already the packed coefficient (coefficients.pack) of a product table.
-_apply_stiefel splits a bitset into the packed pair (c_0, B) and folds in
-the input's coefficients by algebra.table_product, before
-Presentation.from_table builds the one Element of the result.  Both skip
-products meeting in the codec's zero mask (pairs whose product is zero or
-carries a vanishing {-1}-power).
+The Cartan sum runs on plain integers.  Each call tabulates the nonzero
+generator values (b, rho_target bit, binomial) of the surviving terms'
+generators; target = j + b(p-1) <= n bounds a row by (n - j)/(p - 1) + 1
+entries, and at p = 2 a row lists the submasks b of j - 1 (Lucas).  The
+kernel (_cartan) peels the lowest generator first, so the top generators,
+which contract or vanish, cut terms before the wide low rows multiply
+them; it skips degrees above a suffix's capacity, keeps its memo for one
+call and runs on a work list, so no monomial is too long for the stack.
+Over Z/p one int holds a coefficient: a bitset of the Z/2 coefficients of
+the {-1}-powers when they survive (then p = 2), else a residue mod p.
+_apply_stiefel folds in the input's coefficients by algebra.table_product
+before Presentation.from_table builds the result; both skip products
+meeting in the codec's zero mask.
 
 On the Tate target the same formula acts key by key through the comparison
 map rho_j -> sigma eta^{j-1}: P^i(eta^e) = binom(e, i) eta^{e+i(p-1)}, zero
@@ -179,15 +176,15 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     """An even operation on an element of H(W(n, m)) by the Cartan sum."""
     pres = x.pres
     n, p, index, shift = pres.n, op.prime, op.index, op.bidegree_shift
-    encode, _, product, nil, twisted = pres.codec()
+    _, _, product, nil, twisted = pres.codec()
     # the value on w lies in the piece of bidegree(w) + shift, so it is
     # zero, and so is any {-1}-multiple of it, when that piece has no line
     terms = [(mono, c) for mono, c in x.terms if _shapes(pres, monomial_bidegree(mono) + shift)]
     table = _generator_table(n, p, index, terms)
-    cache: dict[tuple[int, int], dict[int, int]] = {}
+    memo: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
     acc: dict = {}
     for mono, c in terms:
-        value = _cartan(cache, table, n, nil, p, twisted, encode(mono), index)
+        value = _cartan(memo, table, n, nil, p, twisted, mono, index)
         if twisted == 2:  # bit 0 of the bitset is c_0
             value = {a: (v & 1, v & -2) for a, v in value.items()}
         # the coefficient multiplies as a table on the unit key
@@ -226,59 +223,80 @@ def _generator_table(n: int, p: int, index: int, terms) -> dict[int, list]:
     return table
 
 
-def _cartan(cache: dict, table: dict[int, list], n: int, nil: int, p: int,
-            twisted: int, mask: int, k: int) -> dict[int, int]:
-    """The degree-k operation on the monomial with bitmask mask, as
-    {mask: int}, by the Cartan sum over its last generator.
-
-    The ring is Z/p, and twisted (twisted_modulus) is 2 only for an even
-    modulus.  So when it is 2, p is 2 and the int is a bitset whose bit e is
-    the Z/2 coefficient of {-1}^e: signs and nonzero binomials are 1, a
-    disjoint product adds by xor, and a contraction by _normal_word adds
+def _cartan(memo: dict, table: dict[int, list], n: int, nil: int, p: int,
+            twisted: int, mono: tuple[int, ...], k: int) -> dict[int, int]:
+    """The degree-k operation on the monomial mono, as {mask: int}, by the
+    Cartan sum over its lowest generator j: the degree-d value of rho_j t
+    sums P^b(rho_j) times the degree-(d - b) value of its tail t, the
+    generator value on the left.  The ring is Z/p; twisted (twisted_modulus)
+    is 2 only for an even modulus, and then p = 2 and the int is a bitset
+    whose bit e is the Z/2 coefficient of {-1}^e: signs and binomials are 1,
+    a disjoint product adds by xor, and a contraction by _normal_word adds
     the bitset shifted by its twist.  When it is 1, every positive
-    {-1}-power vanishes, so the int is the coefficient mod p and products
-    that contract are skipped; the sign of a disjoint product with the one
-    bit of a generator value is the parity of the generators of a above
-    it, as in _normal_word.  Each cache entry drops its zeros when it is
-    built, so cancelled monomials stop propagating.  The cache is keyed by
-    (mask, k) and owned by the caller."""
-    if not mask:
-        return {0: 1} if k == 0 else {}
-    key = (mask, k)
-    value = cache.get(key)
-    if value is not None:
-        return value
-    last = mask.bit_length() - 1
-    head = mask ^ (1 << last)
-    acc: dict[int, int] = {}
-    for b, bit, c in table[last]:
-        if b > k:
+    {-1}-power vanishes, so the int is the coefficient mod p, contracting
+    products are skipped, and the sign of a left product with the bit of a
+    generator value is the parity of the generators of t below it.
+
+    memo[suffix mask][degree] holds the values, zeros dropped, so cancelled
+    monomials stop propagating; the caller owns it, seeds it with the unit
+    and shares it between the terms of one call.  A degree above the
+    capacity of a suffix, the sum of the largest b in its generators' rows,
+    is zero and never looked up.  A work list stands in for recursion: the
+    descent peels a generator per level and collects the tail degrees asked
+    for and not in memo until none is left; the ascent computes them."""
+    mask = cap = 0
+    for j in mono:
+        mask |= 1 << j
+        cap += table[j][-1][0]
+    if k > cap:
+        return {}
+    top = values = memo.setdefault(mask, {})
+    levels, need = [], () if k in values else (k,)
+    for j in mono:
+        if not need:
             break
-        values = _cartan(cache, table, n, nil, p, twisted, head, k - b).items()
-        if twisted == 2:
-            for a, v in values:
-                if a & bit:
-                    if a & bit & nil:
-                        continue
-                    nf = _normal_word(n, a, bit)
-                    if nf is None:
-                        continue
-                    a, _, twist = nf
-                    v <<= twist
-                else:
-                    a |= bit
-                acc[a] = acc.get(a, 0) ^ v
-        else:
-            above = bit.bit_length()
-            for a, v in values:
-                if a & bit:
+        row = table[j]
+        mask ^= 1 << j
+        cap -= row[-1][0]
+        tail = memo.setdefault(mask, {})
+        levels.append((values, row, tail, cap, need))
+        wanted = set()
+        for d in need:
+            for b, _, _ in row:
+                if b > d:
+                    break
+                if d - b <= cap and d - b not in tail:
+                    wanted.add(d - b)
+        need, values = wanted, tail
+    for values, row, tail, cap, need in reversed(levels):
+        for d in need:
+            acc: dict[int, int] = {}
+            for b, bit, c in row:
+                if b > d:
+                    break
+                if d - b > cap:
                     continue
-                if (a >> above).bit_count() & 1:
-                    v = -v
-                a |= bit
-                acc[a] = (acc.get(a, 0) + c * v) % p
-    value = cache[key] = {a: v for a, v in acc.items() if v}
-    return value
+                if twisted == 2:
+                    for a, v in tail[d - b].items():
+                        if not a & bit:
+                            a |= bit
+                        elif a & bit & nil or (nf := _normal_word(n, bit, a)) is None:
+                            continue
+                        else:
+                            a, _, twist = nf
+                            v <<= twist
+                        acc[a] = acc.get(a, 0) ^ v
+                else:
+                    below = bit - 1
+                    for a, v in tail[d - b].items():
+                        if a & bit:
+                            continue
+                        if (a & below).bit_count() & 1:
+                            v = -v
+                        a |= bit
+                        acc[a] = (acc.get(a, 0) + c * v) % p
+            values[d] = {a: v for a, v in acc.items() if v}
+    return top[k]
 
 
 def _apply_tate(op: Operation, x: Element) -> Element:
@@ -293,8 +311,15 @@ def _apply_tate(op: Operation, x: Element) -> Element:
 
 
 def _check_shift(op: Operation, x, out) -> None:
-    allowed = {bd + op.bidegree_shift for bd in x.bidegrees()}
-    stray = out.bidegrees() - allowed
+    dp, dq = op.bidegree_shift
+    stray = _bidegree_pairs(out) - {(p + dp, q + dq) for p, q in _bidegree_pairs(x)}
     if stray:
+        stray = set(map(Bidegree._make, stray))
         raise AssertionError(
             f"{op.describe()} broke the bidegree bookkeeping, stray bidegrees {stray}")
+
+
+def _bidegree_pairs(x) -> set[tuple[int, int]]:
+    """x.bidegrees() as plain (p, q) tuples, with no Bidegree per {-1}-power."""
+    bidegree = x.pres.key_bidegree
+    return {(p + k, q + k) for key, c in x.terms for p, q in [bidegree(key)] for k, _ in c.terms}

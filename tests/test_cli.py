@@ -10,12 +10,14 @@ from click.testing import CliRunner
 
 import stiefel
 from stiefel import suites
-from stiefel.algebra import basis_element, basis_in_bidegree, piece_size
+from stiefel.algebra import StiefelPresentation, basis_element, basis_in_bidegree, piece_size
 from stiefel.cli import build_presentation, main
+from stiefel.coefficients import CoeffRing, FieldProfile
 from stiefel.render import basis_report, element_text
-from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json
+from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json, element_to_json
 
 from suite_runs import shared_result, suite_run
+from test_operations import one_step_sq2
 
 
 def run(*args, env=None):
@@ -144,6 +146,17 @@ class TestOperations:
         result = run("sq", "-i", "2", "r2", "-n", "3", "-m", "3")
         assert result.exit_code == 0
         assert result.output.strip() == "r3"
+
+    def test_sq_on_a_long_monomial(self):
+        # a monomial of 1,100 generators, each a level of the Cartan sum
+        pres = StiefelPresentation(2200, 2200, CoeffRing(2), FieldProfile())
+        mono = tuple(range(1, 1101))
+        start = time.perf_counter()
+        result = run("sq", "-i", "2", element_to_json(pres.monomial(mono)), "-n", "2200",
+                     "--format", "json")
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 0
+        assert element_from_json(result.output) == one_step_sq2(pres, mono)
 
     def test_sq_odd_vanishes(self):
         result = run("sq", "-i", "1", "r2", "-n", "3", "-m", "3")
@@ -417,7 +430,7 @@ class TestMap:
         assert result.exit_code == 2
 
     def test_cmp_json_output(self):
-        from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json
+        from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json, element_to_json
         from stiefel.targets import PGmPresentation
         result = run("map", "cmp", "r3", "-n", "3", "--format", "json")
         assert result.exit_code == 0

@@ -442,11 +442,11 @@ def one_step_sq2(pres, mono):
     """Sq^2 of a monomial over Z/2 by the Cartan formula, one generator at a
     time: Sq^2(rho_J) = sum over even j in J of monomial(J - {j}) rho_{j+1},
     since Sq^2(rho_j) = (j - 1) rho_{j+1} and signs vanish mod 2."""
-    out = pres.zero()
+    terms = []
     for j in mono:
         if j % 2 == 0:
-            out = out + pres.monomial(tuple(i for i in mono if i != j)) * pres.gen(j + 1)
-    return out
+            terms.extend((pres.monomial(tuple(i for i in mono if i != j)) * pres.gen(j + 1)).terms)
+    return Element(pres, tuple(terms))
 
 
 def test_sq2_on_a_long_monomial():
