@@ -14,11 +14,14 @@ the parent runs first in even pairs and the change in odd ones.  For each
 workload and side the record keeps every run and the median and quartiles of
 each end-to-end metric, counts the pairs in which the change reads
 better, and keeps each pair's change/parent ratio of every end-to-end
-metric with their median.  Records written before the ratios were added are
-left as they are.  --trace-seed adds one traced run per workload and side (the
-per-layer metrics); --tier1 runs the tier-1 tests on each side and records
-their exit status, and their wall time only when they pass.  An existing record of the same two commits is updated in place: the
-workloads run now replace their earlier entries, and the others are kept.
+metric with their median.  Each workload's entry also keeps the argv of the
+run that wrote it, its first seed and its pair count.  Records written
+before these were added are left as they are.  --trace-seed adds one traced
+run per workload and side (the per-layer metrics); --tier1 runs the tier-1
+tests on each side and records their exit status, and their wall time only
+when they pass.  An existing record of the same two commits is updated in
+place: the workloads run now replace their earlier entries, and the others
+are kept.
 """
 
 from __future__ import annotations
@@ -134,6 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--tier1", action="store_true")
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     spec = json.loads(git("show", f"{args.change}:BENCHMARK.json"))
     names = [w["name"] for w in spec["workloads"]]
     if unknown := set(args.workloads or ()) - set(names):
@@ -180,6 +184,7 @@ def record_pairs(args: argparse.Namespace, spec: dict, work: Path) -> None:
                 print(workload, args.first_seed + i, side,
                       f"ops_per_s {run['metrics']['ops_per_s']:.2f}", flush=True)
         entry = compare(runs, better)
+        entry.update(argv=args.argv, first_seed=args.first_seed)
         if args.trace_seed is not None:
             entry["traced"] = {side: bench(dirs[side], workload, args.trace_seed,
                                            seconds, True) for side in SIDES}
