@@ -285,12 +285,13 @@ class Element:
     def bidegrees(self) -> set[Bidegree]:
         """Bidegrees of the homogeneous constituents, one per key and
         {-1}-power (a single {-1}^k factor contributes (k, k))."""
-        key_bidegree = self.pres.key_bidegree
-        out = set()
-        for key, c in self.terms:
-            p, q = key_bidegree(key)
-            out.update(Bidegree(p + k, q + k) for k, _ in c.terms)
-        return out
+        return set(map(Bidegree._make, self._bidegree_pairs()))
+
+    def _bidegree_pairs(self) -> set[tuple[int, int]]:
+        """bidegrees() as plain (p, q) tuples, with no Bidegree per {-1}-power."""
+        bidegree = self.pres.key_bidegree
+        return {(p + k, q + k) for key, c in self.terms for p, q in [bidegree(key)]
+                for k, _ in c.terms}
 
 
 def table_product(n: int, product, nil: int, twisted: int, xs: dict, ys: dict,

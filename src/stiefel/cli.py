@@ -122,6 +122,17 @@ def emit_element(x, fmt: str) -> None:
         click.echo(element_text(x))
 
 
+def _emit_operation(make_op, pres: StiefelPresentation, x: str, fmt: str) -> None:
+    """Emit make_op() applied to the element x; make_op's ValueError is a usage error."""
+    from .operations import apply_operation
+
+    try:
+        op = make_op()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    emit_element(apply_operation(op, parse_element(x, pres)), fmt)
+
+
 @click.group()
 def main():
     """Exact cohomology of Stiefel varieties: presentations, products,
@@ -158,13 +169,9 @@ def mul(pres, x, y, fmt):
 @ring_options
 def sq(pres, index, x, fmt):
     """Apply the motivic Steenrod square Sq^i (odd i gives zero)."""
-    from .operations import apply_operation, square
+    from .operations import square
 
-    try:
-        op = square(index)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    emit_element(apply_operation(op, parse_element(x, pres)), fmt)
+    _emit_operation(lambda: square(index), pres, x, fmt)
 
 
 @main.command("power")
@@ -176,13 +183,10 @@ def sq(pres, index, x, fmt):
 @ring_options
 def power_cmd(pres, index, prime, use_bockstein, x, fmt):
     """Apply the reduced power P^i (or the Bockstein) at an odd prime."""
-    from .operations import apply_operation, bockstein, power
+    from .operations import bockstein, power
 
-    try:
-        op = bockstein(prime) if use_bockstein else power(index, prime)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    emit_element(apply_operation(op, parse_element(x, pres)), fmt)
+    _emit_operation(lambda: bockstein(prime) if use_bockstein else power(index, prime),
+                    pres, x, fmt)
 
 
 @main.command()

@@ -29,7 +29,6 @@ integer matrix while tracking the inverse row transform.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def integer_kernel(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
@@ -117,6 +116,7 @@ def solve_integer(basis: list[list[int]], targets: list[list[int]]) -> list[list
     target) with basis . C = targets; raises ValueError when a target is
     not in the lattice.
     """
+    from fractions import Fraction
     nb = len(basis)
     if nb == 0:
         if any(any(t) for t in targets):

@@ -20,7 +20,6 @@ from .algebra import (Element, Presentation, StiefelPresentation, monomial_bideg
                       table_product)
 from .coefficients import CoeffRing, FieldProfile, MCoefficient, pack, unpack
 from .errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
-from .linalg import module_kernel
 from .targets import PGmPresentation
 
 
@@ -189,7 +188,7 @@ def comparison_map(n: int,
     """
     source = StiefelPresentation(n, n, ring, profile)
     target = PGmPresentation(n, ring, profile)
-    images = {i: target.sigma() * target.eta(i - 1) for i in range(1, n + 1)}
+    images = {i: target.term(1, i - 1) for i in range(1, n + 1)}
     return ring_map(source, target, images, "cmp")
 
 
@@ -213,6 +212,7 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
     # source and target share the ring and profile
     ring, profile = source.ring, source.profile
     if tgt_lines:
+        from .linalg import module_kernel
         encode, decode, _, _, twisted = f.target.codec()
         index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
         rows: list[dict[int, int]] = [{} for _ in tgt_lines]

@@ -312,14 +312,8 @@ def _apply_tate(op: Operation, x: Element) -> Element:
 
 def _check_shift(op: Operation, x, out) -> None:
     dp, dq = op.bidegree_shift
-    stray = _bidegree_pairs(out) - {(p + dp, q + dq) for p, q in _bidegree_pairs(x)}
+    stray = out._bidegree_pairs() - {(p + dp, q + dq) for p, q in x._bidegree_pairs()}
     if stray:
         stray = set(map(Bidegree._make, stray))
         raise AssertionError(
             f"{op.describe()} broke the bidegree bookkeeping, stray bidegrees {stray}")
-
-
-def _bidegree_pairs(x) -> set[tuple[int, int]]:
-    """x.bidegrees() as plain (p, q) tuples, with no Bidegree per {-1}-power."""
-    bidegree = x.pres.key_bidegree
-    return {(p + k, q + k) for key, c in x.terms for p, q in [bidegree(key)] for k, _ in c.terms}

@@ -24,7 +24,6 @@ from operator import itemgetter
 from .algebra import Element, Presentation
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, twisted_modulus
 from .errors import InadmissibleOperation, InvalidPresentation, json_int
-from .operations import apply_operation, square
 
 # a monomial sigma^s eta^e is keyed by (s, e) with s in {0, 1}, 0 <= e < n
 PGmKey = tuple[int, int]
@@ -129,6 +128,7 @@ def sq_projective(i: int, j: int, pres: PGmPresentation) -> Element:
     """Sq^{2i} on the hyperplane power eta^j, by apply_operation:
     binom(j, i) eta^{j+i} mod 2, truncated at eta^n.  The odd squares
     vanish on these classes."""
+    from .operations import apply_operation, square
     return apply_operation(square(2 * i), pres.eta(j))
 
 

@@ -99,6 +99,16 @@ class TestMultiply:
         with pytest.raises(ContextMismatch):
             gl(3).gen(2) * gl(4).gen(2)
 
+    def test_coefficient_from_another_context(self):
+        for other in (MCoefficient.one(CoeffRing(2), PLAIN),
+                      MCoefficient.one(Z, FieldProfile(minus_one_is_square=True))):
+            with pytest.raises(ContextMismatch) as caught:
+                gl(3).scalar(other)
+            assert str(caught.value) == "scalar coefficient from a different context"
+            with pytest.raises(ContextMismatch) as caught:
+                Element(gl(3), (((2,), other),))
+            assert str(caught.value) == "coefficient from a different context"
+
     def test_scaling(self):
         pres = gl(3)
         assert 2 * pres.gen(2) == pres.gen(2) + pres.gen(2)

@@ -282,6 +282,31 @@ def test_bad_ring_options_are_usage_errors(command, ring_args, message):
     assert result.output.splitlines()[-1] == message
 
 
+def r1_json(**fields):
+    """The JSON of rho_1 in GL(3) over Z, with fields replaced."""
+    return json.dumps({"n": 3, "m": 3, "coeff": "Z", "minus_one_is_square": False,
+                       "terms": [{"gens": [1], "mcoeff": [{"k": 0, "c": 1}]}], **fields})
+
+
+REFUSED = [
+    (["mul", r1_json(terms=[{"gens": [1], "mcoeff": 5}]), "r1"], "Error: mcoeff must be a list"),
+    (["mul", r1_json(coeff=2), "r1"], "Error: coeff must be a string"),
+    (["mul", r1_json(minus_one_is_square=1), "r1"],
+     "Error: minus_one_is_square must be a boolean"),
+    (["mul", minus_one_json(-1), "r1"], "Error: negative power of {-1}"),
+    (["map", "perm", "r1", "--sigma", "a,b"], "Error: cannot parse permutation 'a,b'"),
+]
+
+
+@pytest.mark.parametrize("args, message", REFUSED, ids=[
+    "mcoeff", "coeff", "minus_one_is_square", "negative k", "sigma"])
+def test_refusals_are_usage_errors(args, message):
+    result = run(*args, "-n", "3", "--coeff", "Z")
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [message]
+    assert result.output.splitlines()[-1] == message
+
+
 class TestBasisAndSeries:
     def test_basis_gl2(self):
         result = run("basis", "-p", "4", "-q", "3", "-n", "2", "-m", "2", "--coeff", "Z")
@@ -515,29 +540,11 @@ class TestCheck:
             assert result.output.splitlines()[0] == "FAIL rank (3 cases): planted"
 
 
-# the modules each command loads, run in a fresh interpreter
-_LEAN = {"stiefel.errors", "stiefel.coefficients", "stiefel.algebra", "stiefel.serialize",
-         "stiefel.render", "stiefel.cli"}
-_OPERATIONS = _LEAN | {"stiefel.operations"}
-_MAPS = _OPERATIONS | {"stiefel.maps", "stiefel.linalg", "stiefel.targets"}
-FOOTPRINTS = [
-    (["present", "-n", "3"], _LEAN),
-    (["mul", "r1", "r2", "-n", "3"], _LEAN),
-    (["basis", "-p", "4", "-q", "3", "-n", "2"], _LEAN),
-    (["series", "-n", "3"], _LEAN),
-    (["--help"], _LEAN),
-    (["sq", "-i", "2", "r2", "-n", "3"], _OPERATIONS),
-    (["power", "-i", "1", "-p", "3", "r2", "-n", "4", "--coeff", "Z/3"], _OPERATIONS),
-    (["map", "cmp", "r3", "-n", "3"], _MAPS),
-    (["check", "--suite", "rank"], _MAPS | {"stiefel.suites"}),
-]
-
-
-@pytest.mark.parametrize("args, expected", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
-def test_import_footprint(args, expected):
-    code = ("import json, sys\n"
-            "import stiefel.cli\n"
-            f"stiefel.cli.main(args={args!r}, standalone_mode=False)\n"
+def fresh_modules(code: str) -> tuple[set[str], bool]:
+    """Run code in a fresh interpreter that imports stiefel from this
+    checkout; return the stiefel modules it loaded and whether it loaded
+    fractions."""
+    code = ("import json, sys\n" + code +
             "print(json.dumps([sorted(m for m in sys.modules if m.startswith('stiefel.')),\n"
             "                  'fractions' in sys.modules]))\n")
     src = str(Path(stiefel.__file__).resolve().parent.parent)
@@ -546,6 +553,42 @@ def test_import_footprint(args, expected):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     loaded, fractions = json.loads(proc.stdout.splitlines()[-1])
-    assert set(loaded) == expected
-    if expected == _LEAN:
-        assert not fractions
+    return set(loaded), fractions
+
+
+# the modules each command loads, run in a fresh interpreter
+_LEAN = {"stiefel.errors", "stiefel.coefficients", "stiefel.algebra", "stiefel.serialize",
+         "stiefel.render", "stiefel.cli"}
+_OPERATIONS = _LEAN | {"stiefel.operations"}
+FOOTPRINTS = [
+    (["present", "-n", "3"], _LEAN),
+    (["mul", "r1", "r2", "-n", "3"], _LEAN),
+    (["basis", "-p", "4", "-q", "3", "-n", "2"], _LEAN),
+    (["series", "-n", "3"], _LEAN),
+    (["--help"], _LEAN),
+    (["sq", "-i", "2", "r2", "-n", "3"], _OPERATIONS),
+    (["power", "-i", "1", "-p", "3", "r2", "-n", "4", "--coeff", "Z/3"], _OPERATIONS),
+    (["map", "cmp", "r3", "-n", "3"], _LEAN | {"stiefel.maps", "stiefel.targets"}),
+    (["check", "--suite", "rank"],
+     _OPERATIONS | {"stiefel.maps", "stiefel.targets", "stiefel.suites"}),
+]
+
+
+@pytest.mark.parametrize("args, expected", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
+def test_import_footprint(args, expected):
+    loaded, fractions = fresh_modules(
+        f"import stiefel.cli\nstiefel.cli.main(args={args!r}, standalone_mode=False)\n")
+    assert loaded == expected
+    assert not fractions
+
+
+def test_modules_import_only_what_they_run_at_load():
+    # each module imports at call time what only one of its functions runs
+    code = ("import stiefel.targets\n"
+            "assert 'stiefel.operations' not in sys.modules\n"
+            "import stiefel.maps\n"
+            "assert 'stiefel.linalg' not in sys.modules\n"
+            "import stiefel.linalg\n")
+    loaded, fractions = fresh_modules(code)
+    assert "stiefel.linalg" in loaded and "stiefel.operations" not in loaded
+    assert not fractions

@@ -6,7 +6,7 @@ import pytest
 from stiefel.algebra import (Element, StiefelPresentation, all_monomials, basis_element,
                              basis_in_bidegree, monomial_bidegree, random_element)
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
-from stiefel.errors import ContextMismatch, InvalidPresentation, SpanError
+from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from stiefel.linalg import module_kernel
 from stiefel.maps import (RingMap, SymmetryKind, apply_map, comparison_map, compose,
                           immersion_pullback, kernel_basis, projection_pullback,
@@ -95,6 +95,11 @@ class TestSymmetryPullback:
             symmetry_pullback(3, 3, SymmetryKind.PERMUTATION, [1, 2])
         with pytest.raises(InvalidPresentation):
             symmetry_pullback(3, 3, SymmetryKind.PERMUTATION, [1, 1, 2])
+
+    def test_sign_change_needs_a_column(self):
+        with pytest.raises(InvalidPresentation) as caught:
+            symmetry_pullback(3, 0, SymmetryKind.NEGATE_FIRST_COLUMN)
+        assert str(caught.value) == "the sign change needs at least one column"
 
 
 class TestComparisonMap:
@@ -193,6 +198,24 @@ class TestRingMapValidation:
         f = immersion_pullback(3, 3)
         with pytest.raises(ContextMismatch):
             apply_map(f, StiefelPresentation(4, 4).gen(2))
+
+    def test_missing_image(self):
+        pres = StiefelPresentation(2, 2)
+        with pytest.raises(InvalidGenerator) as caught:
+            ring_map(pres, pres, {1: pres.gen(1)}, "oops")
+        assert str(caught.value) == "missing image for rho_2"
+
+    def test_image_in_another_ring(self):
+        pres, other = StiefelPresentation(2, 2), StiefelPresentation(3, 3)
+        with pytest.raises(ContextMismatch) as caught:
+            ring_map(pres, pres, {1: pres.gen(1), 2: other.gen(2)}, "oops")
+        assert str(caught.value) == "image of rho_2 does not live in the target ring"
+
+    def test_image_of_a_non_generator(self):
+        f = immersion_pullback(3, 2)
+        with pytest.raises(InvalidGenerator) as caught:
+            f.image(1)
+        assert str(caught.value) == "rho_1 is not a generator of the source of 'imm'"
 
 
 class TestCompose:

@@ -67,6 +67,40 @@ class TestSchema:
             assert element_from_json(text, PGmPresentation) == x
 
 
+R1 = {"n": 3, "m": 3, "coeff": "Z", "minus_one_is_square": False,
+      "terms": [{"gens": [1], "mcoeff": [{"k": 0, "c": 1}]}]}
+ETA = {"n": 3, "coeff": "Z", "minus_one_is_square": False,
+       "terms": [{"s": 1, "e": 0, "mcoeff": [{"k": 0, "c": 1}]}]}
+REFUSED = [
+    # the CLI reads a token as JSON only when it starts with "{"
+    ("[1]", StiefelPresentation, "element JSON must be an object"),
+    ({**R1, "terms": [{"gens": [1], "mcoeff": 5}]}, StiefelPresentation,
+     "mcoeff must be a list"),
+    ({**R1, "coeff": 2}, StiefelPresentation, "coeff must be a string"),
+    ({**R1, "minus_one_is_square": 1}, StiefelPresentation,
+     "minus_one_is_square must be a boolean"),
+    ({**R1, "terms": [{"gens": [1], "mcoeff": [{"k": -1, "c": 1}]}]}, StiefelPresentation,
+     "negative power of {-1}"),
+    ({**ETA, "terms": [{**ETA["terms"][0], "s": 2}]}, PGmPresentation,
+     "sigma exponent must be 0 or 1, got 2"),
+    ({**ETA, "terms": [{**ETA["terms"][0], "e": 3}]}, PGmPresentation,
+     "eta exponent out of range: 3 (n=3)"),
+    ({**ETA, "terms": [{**ETA["terms"][0], "e": -1}]}, PGmPresentation,
+     "eta exponent out of range: -1 (n=3)"),
+]
+
+
+@pytest.mark.parametrize("data, kind, message", REFUSED, ids=[
+    "not an object", "mcoeff", "coeff", "minus_one_is_square", "negative k", "sigma", "eta",
+    "negative eta"])
+def test_refusal_messages(data, kind, message):
+    text = data if isinstance(data, str) else json.dumps(data)
+    with pytest.raises(ElementParseError) as caught:
+        element_from_json(text, kind)
+    assert type(caught.value) is ElementParseError
+    assert str(caught.value) == message
+
+
 class TestRejection:
     def test_bad_json(self):
         with pytest.raises(ElementParseError):

@@ -155,6 +155,15 @@ class TestTotalSquareOracle:
         pres = pgm(20, ring=Z2)
         assert total_square_oracle(2, pres) == pres.eta(2) + pres.eta(4)
 
+    def test_refusals(self):
+        with pytest.raises(InadmissibleOperation) as caught:
+            total_square_oracle(1, pgm(3, ring=CoeffRing(3)))
+        assert str(caught.value) == "Steenrod squares need Z/2 coefficients, ring is Z/3"
+        with pytest.raises(ValueError) as caught:
+            total_square_oracle(-1, pgm(3, ring=Z2))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "power must be nonnegative"
+
     def test_agrees_with_sq_projective(self):
         for n in (2, 5, 13, 25):
             pres = pgm(n, ring=Z2)
