@@ -1,11 +1,14 @@
-"""Seeded total ring maps whose generator images have several terms.
+"""Seeded random maps for the kernel tests and the golden digests.
 
 The golden `kernels` digest and the Smith-form oracle of `module_kernel`
-both read their random multi-term maps from `random_total_maps`.
+both read their random multi-term ring maps from `random_total_maps`; the
+golden `linalg` digest and the `module_kernel` tests read their integer
+matrices between cyclic-group sums from `random_well_defined_map`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from stiefel import algebra
@@ -41,3 +44,21 @@ def random_total_maps(rings, count: int | None = 12):
             found += 1
             if found == count:
                 return
+
+
+def random_well_defined_map(rng, src_moduli, tgt_moduli):
+    """Matrix entries chosen so each column kills its source annihilator
+    (modulus 0 marks a copy of Z)."""
+    matrix = []
+    for t in tgt_moduli:
+        row = []
+        for s in src_moduli:
+            if not t:
+                # hom(Z, Z) = Z and hom(Z/s, Z) = 0
+                row.append(0 if s else rng.randint(-6, 6))
+                continue
+            # hom(Z/s, Z/t) is generated by t / gcd(s, t); gcd(0, t) = t
+            step = t // math.gcd(s, t)
+            row.append(step * rng.randrange(0, max(1, t // step)))
+        matrix.append(row)
+    return matrix

@@ -5,7 +5,8 @@ the sha256 of that text with a digest recorded from a known-good build: CLI
 text, JSON and LaTeX output, the --help text of every command, the JSON
 wire format, products and sums in both rings, Tate lines and random
 elements, operations, comparison-map images, the graded-piece kernels of
-every total built-in map and of random multi-term maps, every suite
+every total built-in map and of random multi-term maps, the generators
+and orders `linalg.module_kernel` gives on random integer maps, every suite
 verdict with its case count, the (ok, message) of every check the suites
 make, and the failures they report under a planted failure rule.  A
 refactor that is meant to change no output must leave every digest as it
@@ -24,7 +25,7 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
-from stiefel import algebra, suites, targets
+from stiefel import algebra, linalg, suites, targets
 from stiefel.algebra import StiefelPresentation
 from stiefel.cli import main
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
@@ -35,7 +36,7 @@ from stiefel.render import element_text
 from stiefel.serialize import element_to_json
 from stiefel.targets import PGmElement, PGmPresentation
 
-from random_maps import random_total_maps
+from random_maps import random_total_maps, random_well_defined_map
 from suite_runs import shared_result, suite_run
 
 RINGS = (CoeffRing(), CoeffRing(2), CoeffRing(3), CoeffRing(4))
@@ -198,6 +199,23 @@ def group_kernels() -> list[str]:
     return out
 
 
+LINALG_MODULI = (0, 2, 3, 4, 6, 8, 9, 12)
+
+
+def group_linalg() -> list[str]:
+    """module_kernel's (vector, order) lists, dict order included, on seeded
+    well-defined maps between sums of Z and Z/s, up to 7 x 7."""
+    rng = random.Random(25)
+    out = []
+    for _ in range(3000):
+        src = [rng.choice(LINALG_MODULI) for _ in range(rng.randint(0, 7))]
+        tgt = [rng.choice(LINALG_MODULI) for _ in range(rng.randint(0, 7))]
+        matrix = random_well_defined_map(rng, src, tgt)
+        rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+        out.append(f"{matrix} {src} {tgt} -> {linalg.module_kernel(rows, src, tgt)!r}")
+    return out
+
+
 def _ring_args(n, m, ring, fmt, square_profile=False):
     args = ["-n", str(n), "-m", str(m), "--coeff", ring, "--format", fmt]
     return args + (["--minus-one", "square"] if square_profile else [])
@@ -276,6 +294,7 @@ GROUPS = {
     "cli": group_cli,
     "cli-json-elements": group_cli_json_elements,
     "kernels": group_kernels,
+    "linalg": group_linalg,
     "suite-cases": group_suite_cases,
     "suite-failures": group_suite_failures,
     "help": group_help,
@@ -290,6 +309,7 @@ GOLDEN = {
     "cli": "362e7e9fd3702eafc04edb3801409323110aaf18483881f594226ecb914490d0",
     "cli-json-elements": "5ef9c036fc4afcd3bf0acb6237100101c7ad8e1d43319d1fdbf40cea7eed3908",
     "kernels": "65fb22a8d10b50643529f16c94cc51d0a55129c000239468a7764b48c2eec3d8",
+    "linalg": "7163770a65a5ad1b4d0f611964feab9264fd0f520670d19353f66f7d23ae3cf6",
     "suite-cases": "82b04be9a10fdf121800a59cae49b4540adc5870b4c103c9c51acdb04870c73b",
     "suite-failures": "1dc00d00a5714ce61227f952dea2398c0401ce8c84a40de8e8f502ed213b1eff",
     "help": "7d9ee36296c9a81c6258f03fd810fa4fe27ca5a9bc5251f62d4ff2e1e02ac777",

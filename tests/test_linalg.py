@@ -6,6 +6,8 @@ import pytest
 from stiefel import linalg
 from stiefel.linalg import diagonalize, solve_integer
 
+from random_maps import random_well_defined_map
+
 
 def mat_vec(rows, v):
     return [sum(a * b for a, b in zip(row, v)) for row in rows]
@@ -176,25 +178,6 @@ def subgroup_closure(gens, src_moduli):
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
-
-
-def random_well_defined_map(rng, src_moduli, tgt_moduli):
-    """Matrix entries chosen so each column kills its source annihilator
-    (modulus 0 marks a copy of Z)."""
-    import math
-    matrix = []
-    for t in tgt_moduli:
-        row = []
-        for s in src_moduli:
-            if not t:
-                # hom(Z, Z) = Z and hom(Z/s, Z) = 0
-                row.append(0 if s else rng.randint(-6, 6))
-                continue
-            # hom(Z/s, Z/t) is generated by t / gcd(s, t); gcd(0, t) = t
-            step = t // math.gcd(s, t)
-            row.append(step * rng.randrange(0, max(1, t // step)))
-        matrix.append(row)
-    return matrix
 
 
 class TestModuleKernel:
