@@ -10,20 +10,23 @@ such sums, and its kernel is computed here by lifting everything to Z:
     D = the lattice spanned by the s_i e_i,
 
 with s_i, t_j the annihilators of the source and target lines (0 for a
-free line).  module_kernel finds both in one exact-integer elimination
-over sparse vectors: M comes in as one {column: value} dict per target
-line, and each kernel vector goes out as one with no zero entry, so the
-work follows the nonzero entries of the map.  It refines a basis of L one
-target row at a time, carrying the coordinates of the D generators in
-that basis along, and then diagonalizes those coordinates, so that L/D
-splits into cyclic summands.  There is no division over Q and no change
-of basis back to Z^a at the end.  integer_kernel is the same elimination
-with every modulus 0.
+free line).
 
-solve_integer and diagonalize are public helpers off the kernel path,
-kept with their names and signatures: the first solves a lattice
-membership problem over the rationals, the second diagonalizes a dense
-integer matrix while tracking the inverse row transform.
+One exact-integer elimination over sparse vectors, _eliminate, does all
+the work: it refines a basis of L one target row at a time, carrying the
+coordinates of the D generators in that basis along, then diagonalizes
+those coordinates so that L/D splits into cyclic summands, with no
+division over Q.  It has three entry points:
+
+- module_kernel runs both steps on a map given as one {column: value}
+  dict per target line, so the work follows the nonzero entries of the
+  map; integer_kernel is module_kernel with every modulus 0;
+- solve_integer reads lattice coordinates off integer kernels;
+- diagonalize runs the second step alone, on the columns of a matrix.
+
+Only module_kernel is on the kernel path.  integer_kernel, solve_integer
+and diagonalize stay as thin wrappers, with their names and signatures,
+because the benchmark tracer (bench/tracing.py) looks all four up by name.
 """
 
 from __future__ import annotations
@@ -47,66 +50,16 @@ def diagonalize(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
     Only the inverse of the row transform is tracked: for a matrix of
     lattice generators, column operations do not change the lattice the
-    columns generate.
+    columns generate.  The columns of mat are the D generators of the
+    elimination, written in the unit vectors of Z^len(mat).  The basis it
+    ends with gives the columns of R^{-1}, the rows that carry a pivot
+    first, and their orders the nonzero diagonal entries.
     """
-    a = [list(r) for r in mat]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    rinv = [[int(i == j) for j in range(nr)] for i in range(nr)]
-
-    def row_addmul(dst: int, src: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        for row in rinv:  # right-multiply rinv by the inverse row operation
-            row[src] -= q * row[dst]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in rinv:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        for row in rinv:
-            row[i] = -row[i]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < nr and t < nc:
-        entries = [(i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
-        if not entries:
-            break
-        i0, j0 = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        if i0 != t:
-            row_swap(t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        if a[t][t] < 0:
-            row_neg(t)
-        dirty = False
-        for i in range(t + 1, nr):
-            q = a[i][t] // a[t][t]
-            if q:
-                row_addmul(i, t, -q)
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, nc):
-            q = a[t][j] // a[t][t]
-            if q:
-                col_addmul(j, t, -q)
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue  # residues are smaller than the pivot; repeat at the same t
-        t += 1
-    diag = [a[i][i] for i in range(min(nr, nc))]
-    return diag, rinv
+    nr, nc = len(mat), len(mat[0]) if mat else 0
+    basis, orders = _eliminate([{k: v for k, v in enumerate(row) if v} for row in mat], nc)
+    cols = sorted(basis, key=lambda i: i not in orders)
+    diag = [orders[i] for i in cols[:len(orders)]] + [0] * (min(nr, nc) - len(orders))
+    return diag, [[basis[i].get(r, 0) for i in cols] for r in range(nr)]
 
 
 def solve_integer(basis: list[list[int]], targets: list[list[int]]) -> list[list[int]]:
@@ -114,54 +67,27 @@ def solve_integer(basis: list[list[int]], targets: list[list[int]]) -> list[list
 
     Returns the coefficient matrix C (len(basis) rows, one column per
     target) with basis . C = targets; raises ValueError when a target is
-    not in the lattice.
+    not in the lattice.  For an independent basis, the kernel of
+    [basis | -t] is spanned by one primitive vector (c, l) when t lies in
+    the rational span of the basis, and is 0 otherwise; t lies in the
+    lattice exactly when l = +-1, and then its coordinates are l c.
     """
-    from fractions import Fraction
     nb = len(basis)
     if nb == 0:
         if any(any(t) for t in targets):
             raise ValueError("vector outside the lattice (empty basis)")
         return []
-    dim = len(basis[0])
-    nt = len(targets)
-    # solve the dim x nb system with exact fractions, all targets at once
-    aug = [[Fraction(basis[b][r]) for b in range(nb)] + [Fraction(t[r]) for t in targets]
-           for r in range(dim)]
-    pivots = []
-    row = 0
-    for col in range(nb):
-        sel = next((r for r in range(row, dim) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(dim):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    # basis vectors are independent, so every column must have a pivot
-    if len(pivots) != nb:
+    rows = [dict(enumerate(row)) for row in zip(*basis)]
+    if integer_kernel(rows, nb):
         raise ValueError("basis vectors are not independent")
-    for r in range(row, dim):
-        if any(aug[r][nb + t] for t in range(nt)):
-            raise ValueError("vector outside the lattice")
-    coeffs = [[Fraction(0)] * nt for _ in range(nb)]
-    for r, col in enumerate(pivots):
-        for t in range(nt):
-            coeffs[col][t] = aug[r][nb + t]
-    out = []
-    for r in range(nb):
-        line = []
-        for t in range(nt):
-            v = coeffs[r][t]
-            if v.denominator != 1:
-                raise ValueError("vector outside the lattice (fractional coordinates)")
-            line.append(int(v))
-        out.append(line)
-    return out
+    lines = [integer_kernel([{**row, nb: -v} for row, v in zip(rows, t)], nb + 1)
+             for t in targets]
+    # every target off the rational span is refused before any fractional one
+    if not all(lines):
+        raise ValueError("vector outside the lattice")
+    if any(abs(v[nb]) != 1 for (v,) in lines):
+        raise ValueError("vector outside the lattice (fractional coordinates)")
+    return [[v.get(b, 0) * v[nb] for (v,) in lines] for b in range(nb)]
 
 
 _NOT_A_MAP = "matrix does not send the source relations into the target relations"
@@ -182,20 +108,21 @@ def _addmul(dst: dict[int, int], src: dict[int, int], q: int, owner: int,
             index[c].discard(owner)
 
 
-def module_kernel(rows: list[dict[int, int]], src_moduli: list[int],
-                  tgt_moduli: list[int]) -> list[tuple[dict[int, int], int]]:
-    """Generators of the kernel of a map between direct sums of cyclic groups.
+def _eliminate(coords: list[dict[int, int]], ngens: int, rows: list[dict[int, int]] = (),
+               tgt_moduli: list[int] = ()) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """The one elimination behind module_kernel, solve_integer and diagonalize.
 
-    rows holds one {source column: value} dict per target line, possibly
-    empty, whose zero values are ignored (modulus 0 marks a copy of Z).
-    Returns (vector, order) pairs giving independent generators of the
-    kernel subgroup, order 0 marking a free generator; each vector is a
-    {source column: value} dict reduced modulo the line moduli, with no
-    zero entry.
+    The ngens D generators lie in Z^n, n = len(coords): generator k is the
+    sum of coords[i][k] e_i.  rows and tgt_moduli are module_kernel's target
+    rows and their moduli; without them only step 2 below runs.  Returns
+    (basis, orders): basis maps i to b_i, as a {coordinate: value} dict, for
+    each b_i that no row of modulus 0 dropped, and orders maps i to d > 0
+    when b_i carries the D generator d b_i.  L/D is then the sum of one Z/d
+    per order and one Z per b_i without one.
 
     The elimination keeps a basis b_i of L, starting from the unit vectors,
-    and the coordinates c_i of the D generators in it (s_k e_k is the sum
-    of c_i[k] b_i), starting from the s_i.  Every basis operation
+    and the coordinates c_i of the D generators in it (generator k is the
+    sum of c_i[k] b_i), starting from coords.  Every basis operation
     b_i += q b_j is mirrored as c_j -= q c_i, so the c_i never have to be
     solved for.
 
@@ -209,14 +136,16 @@ def module_kernel(rows: list[dict[int, int]], src_moduli: list[int],
        A basis vector then carries a single D generator d b_i, or none,
        and it spans a summand Z/d (Z for none) of L/D.
 
-    Raises ValueError when the matrix does not define a map, that is, when
-    some s_i e_i is not sent into the target relations.
+    Raises ValueError when some D generator is not sent into the target
+    relations.
     """
-    a = len(src_moduli)
-    basis = {j: {j: 1} for j in range(a)}
-    coords = {j: ({j: s} if s else {}) for j, s in enumerate(src_moduli)}
-    owners = [{j} for j in range(a)]   # source coordinate -> basis vectors using it
-    users = [{j} if s else set() for j, s in enumerate(src_moduli)]   # D generator -> c_i
+    basis = {j: {j: 1} for j in range(len(coords))}
+    coords = dict(enumerate(coords))
+    owners = [{j} for j in basis]   # coordinate -> basis vectors using it
+    users = [set() for _ in range(ngens)]   # D generator -> c_i
+    for i, ci in coords.items():
+        for k in ci:
+            users[k].add(i)
 
     def combine(i: int, j: int, q: int) -> None:
         # b_i += q b_j, mirrored as c_j -= q c_i
@@ -254,10 +183,10 @@ def module_kernel(rows: list[dict[int, int]], src_moduli: list[int],
                 del coords[j]
 
     orders = {}
-    pending = {k for k in range(a) if users[k]}
+    pending = {k for k in range(ngens) if users[k]}
     while pending:
         k = pending.pop()
-        while True:
+        while users[k]:   # empty when a later pivot has cleared column k
             i = min(users[k], key=lambda h: abs(coords[h][k]))
             p = coords[i][k]
             for h in [h for h in users[k] if h != i]:
@@ -276,12 +205,31 @@ def module_kernel(rows: list[dict[int, int]], src_moduli: list[int],
                 orders[i] = abs(p)
                 del ci[k]
                 users[k].discard(i)
-                break
-            # a remainder smaller than the pivot: pivot again in its column
-            pending.add(k)
-            k = min((col for col in ci if col != k), key=lambda col: abs(ci[col]))
-            pending.discard(k)
+            else:   # a remainder smaller than the pivot: pivot again in its column
+                pending.add(k)
+                k = min((col for col in ci if col != k), key=lambda col: abs(ci[col]))
+                pending.discard(k)
 
+    return basis, orders
+
+
+def module_kernel(rows: list[dict[int, int]], src_moduli: list[int],
+                  tgt_moduli: list[int]) -> list[tuple[dict[int, int], int]]:
+    """Generators of the kernel of a map between direct sums of cyclic groups.
+
+    rows holds one {source column: value} dict per target line, possibly
+    empty, whose zero values are ignored (modulus 0 marks a copy of Z).
+    Returns (vector, order) pairs giving independent generators of the
+    kernel subgroup, order 0 marking a free generator; each vector is a
+    {source column: value} dict reduced modulo the line moduli, with no
+    zero entry.  These are the b_i of _eliminate, started from the s_i e_i,
+    reduced modulo the source moduli, less those of order 1 or now zero.
+
+    Raises ValueError when the matrix does not define a map, that is, when
+    some s_i e_i is not sent into the target relations.
+    """
+    basis, orders = _eliminate([{j: s} if s else {} for j, s in enumerate(src_moduli)],
+                               len(src_moduli), rows, tgt_moduli)
     out = []
     for i, vec in basis.items():
         order = orders.get(i, 0)

@@ -577,13 +577,16 @@ def test_import_footprint(args, expected):
                          f"stiefel.cli.main(args={args!r}, standalone_mode=False)\n") == expected
 
 
-# what one function of a module runs, it imports at call time
-@pytest.mark.parametrize("module, absent", [
-    ("stiefel.targets", "stiefel.operations"),
-    ("stiefel.maps", "stiefel.linalg"),
-    ("stiefel.linalg", "fractions"),
-], ids=["targets", "maps", "linalg"])
-def test_import_leaves_out_what_only_a_call_runs(module, absent):
-    loaded = fresh_modules(f"import {module}\n")
+# what one function of a module runs, it imports at call time; linalg's
+# helpers load no fractions even when called
+@pytest.mark.parametrize("module, call, absent", [
+    ("stiefel.targets", "", "stiefel.operations"),
+    ("stiefel.maps", "", "stiefel.linalg"),
+    ("stiefel.linalg", "", "fractions"),
+    ("stiefel.linalg", "stiefel.linalg.solve_integer([[2, 0], [0, 3]], [[4, 3]])\n"
+                       "stiefel.linalg.diagonalize([[1, 1], [2, 4]])\n", "fractions"),
+], ids=["targets", "maps", "linalg", "linalg-calls"])
+def test_import_leaves_out_what_only_a_call_runs(module, call, absent):
+    loaded = fresh_modules(f"import {module}\n{call}")
     assert module in loaded
     assert absent not in loaded

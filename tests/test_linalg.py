@@ -56,19 +56,19 @@ class TestIntegerKernel:
                 assert mat_vec(rows, v) == [0] * nr
 
     def test_spans_all_small_solutions(self):
-        # every small integer solution must be an integer combination of the basis
+        # every small integer solution must be an integer combination of the
+        # basis: the sympy solve raises unless its coordinates are integers
+        pytest.importorskip("sympy")
         rng = random.Random(1)
         for _ in range(60):
             nr, nc = rng.randint(1, 3), rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
             basis = integer_kernel(rows, nc)
-            for v in itertools.product(range(-2, 3), repeat=nc):
-                if mat_vec(rows, list(v)) != [0] * nr:
-                    continue
-                if not any(v):
-                    continue
-                coords = solve_integer(basis, [list(v)])
-                assert all(len(row) == 1 for row in coords)
+            solutions = [list(v) for v in itertools.product(range(-2, 3), repeat=nc)
+                         if any(v) and mat_vec(rows, list(v)) == [0] * nr]
+            if solutions:
+                coords = _rational_solve(basis, solutions)
+                assert all(len(row) == len(solutions) for row in coords)
 
     def test_captures_saturation(self):
         # kernel of (2 -2) is generated by (1, 1), not only (2, 2)
@@ -387,3 +387,129 @@ class TestModuleKernelAgainstSmithForm:
             for q in range(top + 2):
                 for deg in range(q, 2 * q + 1):
                     _assert_matches_cone(*_piece_map(f, (deg, q)))
+
+
+# --------------------------------------------------------------------------
+# Independent oracle for solve_integer: a rational solve in sympy, followed
+# by an integrality check.  The basis has full column rank once it passes
+# the rank check, so a target t lies in its rational span exactly when the
+# least-squares solution x = (B^T B)^{-1} B^T t satisfies B x = t.
+
+_OUTSIDE = "vector outside the lattice"
+
+
+def _rational_solve(basis, targets):
+    """solve_integer's outcome from sympy: the coordinates, or the same
+    ValueError, every "outside the lattice" refusal before any fractional
+    one."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+
+    if not basis:
+        if any(any(t) for t in targets):
+            raise ValueError(f"{_OUTSIDE} (empty basis)")
+        return []
+    dim, nb = len(basis[0]), len(basis)
+    b = Matrix(dim, nb, lambda r, c: basis[c][r])
+    if b.rank() < nb:
+        raise ValueError("basis vectors are not independent")
+    project = (b.T * b).inv() * b.T
+    solutions = [project * Matrix(dim, 1, t) for t in targets]
+    if any(b * x != Matrix(dim, 1, t) for x, t in zip(solutions, targets)):
+        raise ValueError(_OUTSIDE)
+    if any(not v.is_integer for x in solutions for v in x):
+        raise ValueError(f"{_OUTSIDE} (fractional coordinates)")
+    return [[int(x[i]) for x in solutions] for i in range(nb)]
+
+
+def _outcome(solve, basis, targets):
+    try:
+        return solve(basis, targets)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _solve_cases(rng):
+    """Empty, dependent and independent bases, with targets that are lattice
+    members, rational but fractional combinations, or random vectors (mostly
+    outside the span), alone and mixed."""
+    yield [], []
+    yield [], [[0, 0], [0, 0]]
+    yield [], [[0, 0], [0, 1]]
+    yield [[]], []
+    yield [[0, 0]], [[0, 0]]
+    # a fractional target, then one off the span: the second refusal wins
+    yield [[2, 0, 0]], [[1, 0, 0], [0, 1, 0]]
+    yield [[2, 0, 0]], [[0, 1, 0], [1, 0, 0]]
+    yield [[1, 2], [3, 4]], []
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        gens = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+        basis = [[rng.choice([1, 1, 2, 3]) * v for v in g] for g in gens]
+        if rng.random() < 0.2:
+            basis.insert(rng.randint(0, len(basis)),
+                         [sum(rng.randint(-2, 2) * b[r] for b in basis) for r in range(dim)])
+        targets = []
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice([basis, gens, None])
+            if kind is None:
+                targets.append([rng.randint(-4, 4) for _ in range(dim)])
+            else:
+                coeffs = [rng.randint(-3, 3) for _ in kind]
+                targets.append([sum(c * v[r] for c, v in zip(coeffs, kind)) for r in range(dim)])
+        yield basis, targets
+
+
+class TestSolveInteger:
+    def test_against_rational_solve(self):
+        pytest.importorskip("sympy")
+        seen = set()
+        for basis, targets in _solve_cases(random.Random(8)):
+            expected = _outcome(_rational_solve, basis, targets)
+            assert _outcome(solve_integer, basis, targets) == expected, (basis, targets)
+            seen.add(expected if isinstance(expected, str) else "solved")
+        assert seen == {"solved", "basis vectors are not independent", _OUTSIDE,
+                        f"{_OUTSIDE} (empty basis)", f"{_OUTSIDE} (fractional coordinates)"}
+
+
+# --------------------------------------------------------------------------
+# diagonalize against sympy: the nonzero diagonal entries come first, there
+# are rank(mat) of them, and they carry the elementary divisors of mat.  The
+# columns of R . mat then lie in the lattice of the diagonal matrix, and the
+# equal elementary divisors make the two lattices equal.
+
+def _assert_diagonalizes(mat):
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    nr, nc = len(mat), len(mat[0]) if mat else 0
+    diag, rinv = diagonalize(mat)
+    rank = sum(1 for d in diag if d)
+    assert len(diag) == min(nr, nc) and all(d > 0 for d in diag[:rank]) and not any(diag[rank:])
+    assert len(rinv) == nr and all(len(row) == nr for row in rinv)
+    if nr:
+        assert abs(Matrix(rinv).det()) == 1
+        rmat = Matrix(rinv).inv() * Matrix(nr, nc, lambda i, j: mat[i][j])
+        assert all(rmat[i, j] % diag[i] == 0 if i < rank else rmat[i, j] == 0
+                   for i in range(nr) for j in range(nc)), mat
+    m = DomainMatrix([[ZZ(v) for v in row] for row in mat], (nr, nc), ZZ)
+    assert rank == (m.rank() if nr and nc else 0)
+    factors = invariant_factors(m) if nr and nc else ()
+    assert (_elementary_divisors(d for d in diag if d)
+            == _elementary_divisors(int(d) for d in factors if d)), mat
+
+
+class TestDiagonalizeAgainstSmithForm:
+    def test_random_matrices(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            _assert_diagonalizes([[rng.choice([0, rng.randint(-6, 6)]) for _ in range(nc)]
+                                  for _ in range(nr)])
+
+    @pytest.mark.parametrize("mat", [[], [[], []], [[0, 0, 0], [0, 0, 0]], [[1, 1]]],
+                             ids=["empty", "no-columns", "zero", "one-row"])
+    def test_shapes(self, mat):
+        _assert_diagonalizes(mat)
