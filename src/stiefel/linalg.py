@@ -80,7 +80,7 @@ def solve_integer(basis: list[list[int]], targets: list[list[int]]) -> list[list
     rows = [dict(enumerate(row)) for row in zip(*basis)]
     if integer_kernel(rows, nb):
         raise ValueError("basis vectors are not independent")
-    lines = [integer_kernel([{**row, nb: -v} for row, v in zip(rows, t)], nb + 1)
+    lines = [integer_kernel([{**row, nb: -v} for row, v in zip(rows, t, strict=True)], nb + 1)
              for t in targets]
     # every target off the rational span is refused before any fractional one
     if not all(lines):

@@ -471,6 +471,11 @@ class TestSolveInteger:
         assert seen == {"solved", "basis vectors are not independent", _OUTSIDE,
                         f"{_OUTSIDE} (empty basis)", f"{_OUTSIDE} (fractional coordinates)"}
 
+    @pytest.mark.parametrize("target", [[5], [5, 0, 0]], ids=["short", "long"])
+    def test_target_of_the_wrong_length(self, target):
+        with pytest.raises(ValueError):
+            solve_integer([[1, 0], [0, 1]], [target])
+
 
 # --------------------------------------------------------------------------
 # diagonalize against sympy: the nonzero diagonal entries come first, there
