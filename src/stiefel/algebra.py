@@ -8,7 +8,9 @@ monomials in generators rho_{n-m+1}, ..., rho_n, where rho_i has bidegree
 
 Monomials are tuples of strictly increasing generator indices; the empty
 tuple is the unit.  Elements are kept in a unique normal form, so equality
-of elements is structural equality.
+of elements is structural equality.  Outside input goes through Element(...),
+which checks each key and coefficient context, merges and sorts; the values
+the library computes go through Presentation._from_terms, which checks nothing.
 
 Products encode each monomial as an int bitmask, bit i standing for rho_i.
 Two disjoint monomials multiply as in an exterior algebra, with the sign
@@ -95,20 +97,31 @@ class Presentation:
         return self._from_terms(terms)
 
     def _from_terms(self, terms) -> "Element":
-        """The element of (key, coefficient) terms with valid, distinct keys
-        and nonzero reduced coefficients, sorted by term_order and not checked."""
+        """The element of terms with valid, distinct keys and nonzero reduced
+        coefficients of this ring, sorted by term_order: no check at all."""
         x = object.__new__(Element)
         object.__setattr__(x, "pres", self)
         object.__setattr__(x, "terms", tuple(sorted(terms, key=self.term_order)))
         return x
 
+    def _sum(self, terms) -> "Element":
+        """_from_terms after merging repeated keys and dropping zero terms."""
+        acc: dict = {}
+        for key, c in terms:
+            acc[key] = acc[key] + c if key in acc else c
+        return self._from_terms([term for term in acc.items() if term[1]])
+
+    def _basis(self, key) -> "Element":
+        """The valid key with unit coefficient, not checked."""
+        return self._from_terms(((key, MCoefficient.one(self.ring, self.profile)),))
+
     def zero(self) -> "Element":
-        return Element(self, ())
+        return self._from_terms(())
 
     def scalar(self, c: MCoefficient) -> "Element":
         if c.ring != self.ring or c.profile != self.profile:
             raise ContextMismatch("scalar coefficient from a different context")
-        return Element(self, ((self.unit_key, c),))
+        return self._from_terms(((self.unit_key, c),) if c else ())
 
     def unit(self, c: int = 1) -> "Element":
         return self.scalar(MCoefficient.integer(self.ring, self.profile, c))
@@ -150,6 +163,10 @@ class StiefelPresentation(Presentation):
             raise InvalidPresentation(f"m must be nonnegative, got m={self.m}")
         if self.m > self.n:
             raise InvalidPresentation(f"m > n: a full-rank {self.n}x{self.m} matrix cannot exist")
+        # codec constants: rho_i^2 = 0 once 2i - 1 > n; overlaps vanish with {-1}
+        twisted = twisted_modulus(self.ring, self.profile)
+        nil = -1 if twisted == 1 else -1 << ((self.n + 1) // 2 + 1)
+        object.__setattr__(self, "_codec", (nil, twisted))
 
     @property
     def generators(self) -> range:
@@ -166,16 +183,16 @@ class StiefelPresentation(Presentation):
         return i
 
     def gen(self, i: int) -> "Element":
-        return self.element((self.require_generator(i),))
+        return self._basis((self.require_generator(i),))
 
     def monomial(self, indices: Iterable[int], coeff: int | MCoefficient = 1) -> "Element":
         return self.element(tuple(indices), coeff)
 
     def gen_square(self, i: int) -> "Element":
         """The value of rho_i^2 forced by the defining relation."""
-        if 2 * self.require_generator(i) - 1 > self.n:
-            return self.zero()
-        return self.element((2 * i - 1,), MCoefficient.minus_one(self.ring, self.profile))
+        c = MCoefficient.minus_one(self.ring, self.profile)
+        nonzero = 2 * self.require_generator(i) - 1 <= self.n and c
+        return self._from_terms((((2 * i - 1,), c),) if nonzero else ())
 
     def check_key(self, mono: Iterable[int]) -> Monomial:
         mono = tuple(mono)
@@ -191,11 +208,8 @@ class StiefelPresentation(Presentation):
         return len(term[0]), term[0]
 
     def codec(self):
-        # rho_i^2 = 0 once 2i - 1 > n; when {-1} vanishes, every overlap
-        # contracts to a vanishing {-1}-power
-        twisted = twisted_modulus(self.ring, self.profile)
-        nil = -1 if twisted == 1 else -1 << ((self.n + 1) // 2 + 1)
-        return _mask, _monomial, _normal_word, nil, twisted
+        # read per call, so that a wrapper on _normal_word sees every product
+        return _mask, _monomial, _normal_word, *self._codec
 
     def lines(self, bd) -> list[tuple[Monomial, int]]:
         return basis_in_bidegree(self, bd)
@@ -230,10 +244,9 @@ class Element:
 
     def __post_init__(self) -> None:
         pres = self.pres
-        check = pres.check_key
         acc: dict = {}
         for key, c in self.terms:
-            key = check(key)
+            key = pres.check_key(key)
             if c.ring != pres.ring or c.profile != pres.profile:
                 raise ContextMismatch("coefficient from a different context")
             acc[key] = acc[key] + c if key in acc else c
@@ -247,10 +260,10 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same_ring(other)
-        return Element(self.pres, self.terms + other.terms)
+        return self.pres._sum(self.terms + other.terms)
 
     def __neg__(self) -> "Element":
-        return Element(self.pres, tuple((m, -c) for m, c in self.terms))
+        return self.pres._from_terms([(m, -c) for m, c in self.terms])
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -271,9 +284,8 @@ class Element:
         return NotImplemented
 
     def scale(self, c: int | MCoefficient) -> "Element":
-        if isinstance(c, int):
-            c = MCoefficient.integer(self.pres.ring, self.pres.profile, c)
-        return Element(self.pres, tuple((m, cc * c) for m, cc in self.terms))
+        # MCoefficient * int reduces the product, as * MCoefficient.integer would
+        return self.pres._from_terms([(m, d) for m, cc in self.terms if (d := cc * c)])
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -548,14 +560,12 @@ def random_element(pres: Presentation, bidegree=None, seed: int = 0) -> Element:
     if bidegree is not None:
         for key, k in pres.lines(bidegree):
             c = MCoefficient(pres.ring, pres.profile, ((k, _random_scalar(rng, pres.ring, k)),))
-            if c:
-                terms.append((key, c))
+            terms.append((key, c))
     else:
         for _ in range(rng.randint(1, 3)):
             key = pres.random_key(rng)
             ks = rng.sample((0, 1, 2), rng.randint(1, 2))
             c = MCoefficient(pres.ring, pres.profile,
                              tuple((k, _random_scalar(rng, pres.ring, k)) for k in sorted(ks)))
-            if c:
-                terms.append((key, c))
-    return Element(pres, tuple(terms))
+            terms.append((key, c))
+    return pres._sum(terms)

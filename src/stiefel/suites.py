@@ -296,6 +296,12 @@ def suite_cartan_oracle(result: SuiteResult, rng: random.Random) -> None:
                     return
 
 
+def _factorial_value(i: int, j: int, p: int, pres: StiefelPresentation) -> Element:
+    """P^i(rho_j), Sq^{2i} at p = 2, from math.comb: the generator tables' oracle."""
+    c = math.comb(j - 1, i) % p if j + i * (p - 1) <= pres.n else 0
+    return pres.gen(j + i * (p - 1)) * c if c else pres.zero()
+
+
 @suite("operation-table")
 def suite_operation_table(result: SuiteResult, rng: random.Random) -> None:
     """Generator tables for Sq^{2i} (p=2) and P^i (p=3,5) for j <= n <= 10,
@@ -306,12 +312,7 @@ def suite_operation_table(result: SuiteResult, rng: random.Random) -> None:
             pres = StiefelPresentation(n, n, ring, _PLAIN)
             for j in range(1, n + 1):
                 for i in range(11):
-                    target = j + i if p == 2 else i * p + j - i
-                    c = math.comb(j - 1, i) % p
-                    if target <= n and c:
-                        expected = pres.gen(target) * c
-                    else:
-                        expected = pres.zero()
+                    expected = _factorial_value(i, j, p, pres)
                     if p == 2:
                         got = sq_on_generator(i, j, pres)
                         op = square(2 * i)

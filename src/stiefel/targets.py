@@ -72,18 +72,21 @@ class PGmPresentation(Presentation):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidPresentation(f"n must be at least 1, got n={self.n}")
+        # sigma^2 = {-1} sigma vanishes with {-1}
+        twisted = twisted_modulus(self.ring, self.profile)
+        object.__setattr__(self, "_codec", (int(twisted == 1), twisted))
 
     def term(self, s: int, e: int, coeff: int | MCoefficient = 1) -> Element:
         return self.element((s, e), coeff)
 
     def sigma(self) -> Element:
-        return self.term(1, 0)
+        return self._basis((1, 0))
 
     def eta(self, e: int = 1) -> Element:
         """eta^e, which is zero once e reaches the truncation degree n."""
         if e >= self.n:
             return self.zero()
-        return self.term(0, e)
+        return self._basis(self.check_key((0, e)))
 
     def check_key(self, key) -> PGmKey:
         s, e = key
@@ -96,9 +99,7 @@ class PGmPresentation(Presentation):
     term_order = staticmethod(itemgetter(0))
 
     def codec(self):
-        # sigma^2 = {-1} sigma vanishes with {-1}
-        twisted = twisted_modulus(self.ring, self.profile)
-        return _encode, _decode, _key_product, int(twisted == 1), twisted
+        return _encode, _decode, _key_product, *self._codec
 
     def lines(self, bd) -> list[tuple[PGmKey, int]]:
         return basis_in_bidegree(self, bd)

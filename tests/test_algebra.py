@@ -52,6 +52,24 @@ class TestPresentation:
         with pytest.raises(InvalidGenerator):
             StiefelPresentation(4, 2).gen(1)  # generators are 3, 4
 
+    def test_bad_keys_keep_their_types_and_messages(self):
+        # element and monomial take keys from the caller and validate them
+        pres = gl(3)
+        cases = [
+            (lambda: pres.element((3, 2)), ValueError,
+             "monomial indices must be strictly increasing, got (3, 2)"),
+            (lambda: pres.element((4,)), InvalidGenerator, "rho_4 is not a generator of W(3,3)"),
+            (lambda: pres.monomial((2, 2)), ValueError,
+             "monomial indices must be strictly increasing, got (2, 2)"),
+            (lambda: pres.monomial((0, 1)), InvalidGenerator,
+             "rho_0 is not a generator of W(3,3)"),
+        ]
+        for call, error, message in cases:
+            with pytest.raises(error) as caught:
+                call()
+            assert type(caught.value) is error
+            assert str(caught.value) == message
+
 
 class TestBidegrees:
     def test_single_generator(self):
@@ -98,6 +116,13 @@ class TestMultiply:
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             gl(3).gen(2) * gl(4).gen(2)
+        for other in (gl(4), gl(3, CoeffRing(2))):
+            x, y = gl(3).gen(2), other.gen(2)
+            for combine in (lambda: x + y, lambda: x - y, lambda: x * y):
+                with pytest.raises(ContextMismatch) as caught:
+                    combine()
+                assert str(caught.value) == (
+                    f"elements live in different rings: {gl(3)!r} vs {other!r}")
 
     def test_coefficient_from_another_context(self):
         for other in (MCoefficient.one(CoeffRing(2), PLAIN),
@@ -108,6 +133,19 @@ class TestMultiply:
             with pytest.raises(ContextMismatch) as caught:
                 Element(gl(3), (((2,), other),))
             assert str(caught.value) == "coefficient from a different context"
+            x = gl(3).gen(2) + gl(3).gen(3)
+            for scale in (lambda: x.scale(other), lambda: x * other, lambda: other * x):
+                with pytest.raises(ContextMismatch) as caught:
+                    scale()
+                assert str(caught.value) == ("coefficients from different contexts: "
+                                             f"Z/{PLAIN} vs {other.ring.name}/{other.profile}")
+
+    def test_zero_scalars_give_zero(self):
+        for pres in (gl(3), gl(3, CoeffRing(3)), gl(3, Z, FieldProfile(minus_one_is_square=True))):
+            assert pres.scalar(MCoefficient.zero(pres.ring, pres.profile)) == pres.zero()
+            assert not pres.scalar(MCoefficient.zero(pres.ring, pres.profile)).terms
+            assert not pres.unit(0).terms
+            assert bool(pres.minus_one().terms) == (twisted_modulus(pres.ring, pres.profile) > 1)
 
     def test_scaling(self):
         pres = gl(3)

@@ -133,25 +133,17 @@ def _columns(m):
 
 
 def _lattice_equal(a, b):
-    cols_a = [c for c in _columns(a) if any(c)]
-    cols_b = [c for c in _columns(b) if any(c)]
-    return (all(_in_lattice(v, cols_b) for v in cols_a)
-            and all(_in_lattice(v, cols_a) for v in cols_b))
+    """The columns of a and of b span the same lattice: their Hermite normal
+    forms, which sympy computes and which name the lattice, agree.  Nothing
+    of linalg is used, so a fault in its elimination cannot agree with itself."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
 
-
-def _in_lattice(v, basis_gens):
-    # v in lattice(B) iff the kernel of [B | -v] reaches last coordinate 1
-    import math
-    if not any(v):
-        return True
-    if not basis_gens:
-        return False
-    rows = [[*[col[r] for col in basis_gens], -v[r]] for r in range(len(v))]
-    kern = integer_kernel(rows, len(basis_gens) + 1)
-    g = 0
-    for k in kern:
-        g = math.gcd(g, k[-1])
-    return g == 1
+    def hnf(m):
+        cols = [c for c in _columns(m) if any(c)]
+        return hermite_normal_form(Matrix(cols).T) if cols else None
+    return hnf(a) == hnf(b)
 
 
 def brute_force_kernel(matrix, src_moduli, tgt_moduli):

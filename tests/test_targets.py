@@ -22,11 +22,21 @@ class TestPresentation:
     def test_invalid(self):
         with pytest.raises(InvalidPresentation):
             PGmPresentation(0)
+        # term takes its key from the caller and validates it
+        for call, message in ((lambda: pgm(3).term(2, 0), "sigma exponent must be 0 or 1, got 2"),
+                              (lambda: pgm(3).term(0, 3), "eta exponent out of range: 3 (n=3)"),
+                              (lambda: pgm(3).term(1, -1), "eta exponent out of range: -1 (n=3)"),
+                              (lambda: pgm(3).eta(-1), "eta exponent out of range: -1 (n=3)")):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
 
     def test_eta_truncates(self):
         pres = pgm(3)
         assert not pres.eta(3)
+        assert pres.eta(3) == pres.zero() == pres.eta(7)
         assert pres.eta(2)
+        assert pres.eta(2) == pres.term(0, 2) and pres.sigma() == pres.term(1, 0)
 
     def test_bidegrees(self):
         assert pgm_key_bidegree((1, 0)) == Bidegree(1, 1)   # sigma
