@@ -163,10 +163,6 @@ class StiefelPresentation(Presentation):
             raise InvalidPresentation(f"m must be nonnegative, got m={self.m}")
         if self.m > self.n:
             raise InvalidPresentation(f"m > n: a full-rank {self.n}x{self.m} matrix cannot exist")
-        # codec constants: rho_i^2 = 0 once 2i - 1 > n; overlaps vanish with {-1}
-        twisted = twisted_modulus(self.ring, self.profile)
-        nil = -1 if twisted == 1 else -1 << ((self.n + 1) // 2 + 1)
-        object.__setattr__(self, "_codec", (nil, twisted))
 
     @property
     def generators(self) -> range:
@@ -208,8 +204,11 @@ class StiefelPresentation(Presentation):
         return len(term[0]), term[0]
 
     def codec(self):
-        # read per call, so that a wrapper on _normal_word sees every product
-        return _mask, _monomial, _normal_word, *self._codec
+        # rho_i^2 = 0 once 2i - 1 > n; when {-1} vanishes, every overlap
+        # contracts to a vanishing {-1}-power
+        twisted = twisted_modulus(self.ring, self.profile)
+        nil = -1 if twisted == 1 else -1 << ((self.n + 1) // 2 + 1)
+        return _mask, _monomial, _normal_word, nil, twisted
 
     def lines(self, bd) -> list[tuple[Monomial, int]]:
         return basis_in_bidegree(self, bd)

@@ -188,7 +188,7 @@ def comparison_map(n: int,
     """
     source = StiefelPresentation(n, n, ring, profile)
     target = PGmPresentation(n, ring, profile)
-    images = {i: target.term(1, i - 1) for i in range(1, n + 1)}
+    images = {i: target._basis((1, i - 1)) for i in range(1, n + 1)}
     return ring_map(source, target, images, "cmp")
 
 

@@ -153,8 +153,8 @@ def _on_generator(i: int, j: int, p: int, pres: StiefelPresentation) -> Element:
     if i < 0:
         raise ValueError("operation index must be nonnegative")
     target, c = _generator_value(i, pres.require_generator(j), p, pres.n)
-    # target >= j >= n-m+1, so rho_target is again a generator
-    return pres.element((target,), c) if c else pres.zero()
+    # c = 0 beyond rho_n; otherwise target >= j >= n-m+1 is again a generator
+    return pres._basis((target,)).scale(c) if c else pres.zero()
 
 
 def apply_operation(op: Operation, x: Element) -> Element:

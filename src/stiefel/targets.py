@@ -72,9 +72,6 @@ class PGmPresentation(Presentation):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidPresentation(f"n must be at least 1, got n={self.n}")
-        # sigma^2 = {-1} sigma vanishes with {-1}
-        twisted = twisted_modulus(self.ring, self.profile)
-        object.__setattr__(self, "_codec", (int(twisted == 1), twisted))
 
     def term(self, s: int, e: int, coeff: int | MCoefficient = 1) -> Element:
         return self.element((s, e), coeff)
@@ -99,7 +96,9 @@ class PGmPresentation(Presentation):
     term_order = staticmethod(itemgetter(0))
 
     def codec(self):
-        return _encode, _decode, _key_product, *self._codec
+        # sigma^2 = {-1} sigma vanishes with {-1}
+        twisted = twisted_modulus(self.ring, self.profile)
+        return _encode, _decode, _key_product, int(twisted == 1), twisted
 
     def lines(self, bd) -> list[tuple[PGmKey, int]]:
         return basis_in_bidegree(self, bd)
@@ -118,7 +117,7 @@ class PGmPresentation(Presentation):
 
 def reduced_part(x: Element) -> Element:
     """The component in the image of the Tate suspension: sigma-divisible terms."""
-    return Element(x.pres, tuple((k, c) for k, c in x.terms if k[0] == 1))
+    return x.pres._from_terms([(k, c) for k, c in x.terms if k[0] == 1])
 
 
 def is_reduced(x: Element) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -39,6 +40,17 @@ class TestPresentation:
         pres = StiefelPresentation(4, 0)
         assert list(pres.generators) == []
         assert pres.unit() * pres.unit() == pres.unit()
+
+    def test_construction_builds_nothing_n_bits_wide(self):
+        # a ring on two generators is small whatever n is: nothing n bits
+        # wide (such as the codec's zero mask) is built before a product
+        tracemalloc.start()
+        try:
+            StiefelPresentation(10**9, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidPresentation):

@@ -213,6 +213,7 @@ class TestBadCharacteristic:
 M61 = 2**61 - 1  # a Mersenne prime, past the reach of trial division
 PSI_13 = 3317044064679887385961981  # from here on primality is not decided
 HUGE = "1" * 5000
+N20 = "9" * 20
 
 
 def minus_one_json(k):
@@ -244,19 +245,33 @@ BOUNDED = [
     (["mul", '{"a":' + "[" * 1500, "r1", "-n", "3"], 2,
      "Error: invalid JSON: maximum recursion depth exceeded while decoding a JSON array "
      "from a unicode string"),
+    # rings whose n has 20 digits: nothing n bits wide may be built for these
+    (["present", "-n", N20], 3,
+     f"error: W({N20},{N20}) has {N20} generators, more than the 10000 that present prints"),
+    (["series", "-n", N20, "-m", "3"], 0,
+     "1 + T^(199999999999999999993,99999999999999999997)"
+     " + T^(199999999999999999995,99999999999999999998)"
+     " + T^(199999999999999999997,99999999999999999999)"
+     " + T^(399999999999999999988,199999999999999999995)"
+     " + T^(399999999999999999990,199999999999999999996)"
+     " + T^(399999999999999999992,199999999999999999997)"
+     " + T^(599999999999999999985,299999999999999999994)"),
+    (["basis", "-p", "1", "-q", "1", "-n", N20, "-m", "2"], 0, "  k=1: {-1}"),
 ]
 
 
 @pytest.mark.parametrize("args, code, last", BOUNDED, ids=[
     "power at 2^61-1", "char 2^61-1", "L^bound squared", "char psi_13", "power at psi_13",
     "L^10^12", "json k above bound", "r<5000 digits>", "L^<5000 digits>",
-    "json int of 5000 digits", "json nested 1500 deep"])
+    "json int of 5000 digits", "json nested 1500 deep", "present at n of 20 digits",
+    "series at n of 20 digits", "basis at n of 20 digits"])
 def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     start = time.perf_counter()
     result = run(*args)
     assert time.perf_counter() - start < 1
     assert result.exit_code == code
     assert result.output.splitlines()[-1] == last
+    assert code != 3 or len(result.output.splitlines()) == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 

@@ -8,7 +8,9 @@ hard-coded value on a small case, and the fast path must hit a stub.
 
 The library builds its own values unchecked (`Presentation._from_terms`)
 and leaves the bidegree shift of `apply_operation` unchecked; the shared
-suite pass (`suite_runs.library_checks`) checks both.  The planted faults
+suite pass (`suite_runs.library_checks`) checks both.  Each computation in
+UNCHECKED must run with the validating `Element.__post_init__` stubbed out,
+so that the shared pass sees every value it builds.  The planted faults
 below show that those oracles fail on what they guard against, and that
 the faults pass silently without them.
 """
@@ -18,14 +20,18 @@ from unittest import mock
 
 import pytest
 
-from stiefel import algebra, coefficients, operations, suites, targets
-from stiefel.algebra import Element, Presentation, StiefelPresentation
+from stiefel import algebra, coefficients, linalg, maps, operations, suites, targets
+from stiefel.algebra import (Element, Presentation, StiefelPresentation, poincare_polynomial,
+                             random_element)
 from stiefel.coefficients import CoeffRing
-from stiefel.operations import square
+from stiefel.maps import SymmetryKind
+from stiefel.operations import power, square
 from stiefel.suites import _factorial_value, rewrite_outcomes
 from stiefel.targets import PGmPresentation, total_square_oracle
 
 from suite_runs import library_checks
+from test_algebra import _reference_normal_word
+from test_linalg import _cone_invariants, _rational_solve, brute_force_kernel
 
 Z2 = CoeffRing(2)
 
@@ -54,16 +60,54 @@ def _stubbed(forbidden):
         yield
 
 
+PRODUCT_PATH = [(algebra, "_normal_word"), (operations, "_normal_word"),
+                (algebra, "table_product"), (operations, "table_product"),
+                (StiefelPresentation, "codec"), (PGmPresentation, "codec")]
+KERNEL_PATH = [(linalg, "_eliminate"), (linalg, "module_kernel")]
+
+
+def _product():
+    return StiefelPresentation(5, 5).gen(3) * StiefelPresentation(5, 5).gen(2)
+
+
+def _module_kernel():
+    return linalg.module_kernel([{0: 2, 1: 1}], [2, 4, 3], [4])
+
+
 ORACLES = [
     pytest.param(
         lambda: [_outcomes(3, (2, 1)), _outcomes(5, (3, 2, 3)), _outcomes(4, (3, 3)),
                  _outcomes(3, (1, 1, 1))],
-        [(algebra, "_normal_word"), (operations, "_normal_word"), (algebra, "table_product"),
-         (operations, "table_product"), (StiefelPresentation, "codec"),
-         (PGmPresentation, "codec")],
-        lambda: StiefelPresentation(5, 5).gen(3) * StiefelPresentation(5, 5).gen(2),
+        PRODUCT_PATH, _product,
         [[[((1, 2), ((0, -1),))]], [[((2, 5), ((1, 1),))]], [[]], [[((1,), ((2, 1),))]]],
         id="rewrite_outcomes"),
+    pytest.param(
+        lambda: [_reference_normal_word(3, (2, 1)), _reference_normal_word(5, (3, 2, 3)),
+                 _reference_normal_word(4, (3, 3)), _reference_normal_word(3, (1, 1, 1))],
+        PRODUCT_PATH, _product,
+        [((1, 2), -1, 0), ((2, 5), -1, 1), None, ((1,), 1, 2)],
+        id="_reference_normal_word"),
+    pytest.param(
+        lambda: sorted(poincare_polynomial(StiefelPresentation(5, 4)).items()),
+        [(algebra, "_shapes"), (algebra, "piece_size")],
+        lambda: algebra.piece_size(StiefelPresentation(5, 4), (12, 7)),
+        [((0, 0), 1), ((3, 2), 1), ((5, 3), 1), ((7, 4), 1), ((8, 5), 1), ((9, 5), 1),
+         ((10, 6), 1), ((12, 7), 2), ((14, 8), 1), ((15, 9), 1), ((16, 9), 1), ((17, 10), 1),
+         ((19, 11), 1), ((21, 12), 1), ((24, 14), 1)],
+        id="poincare_polynomial"),
+    pytest.param(
+        lambda: brute_force_kernel([[2, 1, 0]], [2, 4, 3], [4]),
+        KERNEL_PATH, _module_kernel,
+        {(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 2, 0), (1, 2, 1), (1, 2, 2)},
+        id="brute_force_kernel"),
+    pytest.param(
+        lambda: _cone_invariants([[2, 1, 0]], [2, 4, 0], [4]),
+        KERNEL_PATH, _module_kernel, (1, [2]),
+        id="_cone_invariants"),
+    pytest.param(
+        lambda: _rational_solve([[1, 1], [0, 2]], [[2, 4], [0, -2]]),
+        KERNEL_PATH, _module_kernel, [[2, 0], [1, -1]],
+        id="_rational_solve"),
     pytest.param(
         lambda: [_factorial_table(2), _factorial_table(3)],
         [(coefficients, "binom_mod"), (operations, "binom_mod"), (suites, "binom_mod"),
@@ -88,6 +132,55 @@ def test_oracle_does_not_reach_its_fast_path(oracle, forbidden, fast, expected):
         assert oracle() == expected
         with pytest.raises(AssertionError, match="^reached "):
             fast()
+
+
+# small inputs, built before Element.__post_init__ is stubbed
+W = StiefelPresentation(4, 4)
+X, Y = W.monomial((1, 2), 3) + W.gen(4), W.monomial((2, 4)) - W.gen(1) + W.minus_one()
+T = PGmPresentation(4)
+S, E = T.term(1, 1, 2) + T.term(0, 2), T.term(1, 0) + T.term(0, 1, -1)
+W2, W3 = StiefelPresentation(4, 4, Z2), StiefelPresentation(5, 5, CoeffRing(3))
+X2, X3 = W2.monomial((1, 2)) + W2.gen(3), W3.monomial((2, 3)) + W3.gen(1)
+CMP, IMM = maps.comparison_map(4), maps.immersion_pullback(5, 5)
+V = IMM.source.monomial((4, 5)) + IMM.source.gen(3)
+
+UNCHECKED = [
+    pytest.param(lambda: [X * Y, X + Y, X - Y, -X, X.scale(3), 2 * X, Y * 0],
+                 id="stiefel-ring"),
+    pytest.param(lambda: [S * E, S + E, S - S, S.scale(3), E * 2], id="tate-ring"),
+    pytest.param(lambda: [W.gen_square(i) for i in W.generators], id="gen_square"),
+    pytest.param(lambda: [operations.apply_operation(square(2), X2),
+                          operations.apply_operation(power(1, 3), X3)], id="apply_operation"),
+    pytest.param(lambda: [operations.sq_on_generator(1, j, W2) for j in W2.generators],
+                 id="sq_on_generator"),
+    pytest.param(lambda: [operations.power_on_generator(1, j, 3, W3) for j in W3.generators],
+                 id="power_on_generator"),
+    pytest.param(lambda: maps.projection_pullback(4, 2, 4), id="projection_pullback"),
+    pytest.param(lambda: maps.immersion_pullback(4, 3), id="immersion_pullback"),
+    pytest.param(lambda: [maps.symmetry_pullback(3, 3, SymmetryKind.PERMUTATION, (2, 1, 3)),
+                          maps.symmetry_pullback(3, 2, SymmetryKind.NEGATE_FIRST_COLUMN)],
+                 id="symmetry_pullback"),
+    pytest.param(lambda: maps.comparison_map(4), id="comparison_map"),
+    pytest.param(lambda: maps.compose(CMP, IMM), id="compose"),
+    pytest.param(lambda: [maps.apply_map(CMP, X), maps.apply_map(IMM, V)], id="apply_map"),
+    pytest.param(lambda: [maps.kernel_basis(CMP, bd) for bd in [(4, 3), (6, 4), (8, 5)]],
+                 id="kernel_basis"),
+    pytest.param(lambda: targets.reduced_part(S + E), id="reduced_part"),
+    pytest.param(lambda: [random_element(W, seed=0), random_element(W, (8, 5), seed=2),
+                          random_element(T, seed=3), random_element(T, (3, 2), seed=4)],
+                 id="random_element"),
+    pytest.param(lambda: [W.from_table(W.table(X)), T.from_table(T.table(S))],
+                 id="from_table"),
+]
+
+
+@pytest.mark.parametrize("compute", UNCHECKED)
+def test_the_library_builds_its_own_values_unchecked(compute):
+    expected = compute()
+    with _stubbed([(Element, "__post_init__")]):
+        assert compute() == expected
+        with pytest.raises(AssertionError, match="^reached __post_init__$"):
+            W.element((1,))
 
 
 def _unsorted_from_terms(pres, terms):
