@@ -113,7 +113,8 @@ class Presentation:
 
     def _basis(self, key) -> "Element":
         """The valid key with unit coefficient, not checked."""
-        return self._from_terms(((key, MCoefficient.one(self.ring, self.profile)),))
+        one = MCoefficient._unchecked(self.ring, self.profile, ((0, 1),))
+        return self._from_terms(((key, one),))
 
     def zero(self) -> "Element":
         return self._from_terms(())

@@ -5,9 +5,10 @@ one fold, _term_image, that extends them multiplicatively on tables of
 packed coefficients (algebra.table_product); {-1}-powers map to
 themselves.  apply_map adds every term's image into one table and
 kernel_basis writes each into module_kernel rows.
-Construction verifies that the images respect the squaring relations; a
-map failing that check is kept, but downgraded to generator-level and
-usable only on the span of single generators.
+Only ring_map, which takes the caller's images and compose's, verifies
+that they respect the squaring relations; a map failing that check is
+kept, but downgraded to generator-level and usable only on the span of
+single generators.  The built-in maps hold by construction, unchecked.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def projection_pullback(n: int, m_small: int, m_big: int,
             f"need 0 <= m_small <= m_big <= n, got ({n}, {m_small}, {m_big})")
     source = StiefelPresentation(n, m_small, ring, profile)
     target = StiefelPresentation(n, m_big, ring, profile)
-    return ring_map(source, target, {i: target.gen(i) for i in source.generators}, "proj")
+    images = tuple((i, target.gen(i)) for i in source.generators)
+    return RingMap(source, target, images, "proj")
 
 
 def immersion_pullback(n: int, m: int,
@@ -152,8 +154,8 @@ def immersion_pullback(n: int, m: int,
         raise InvalidPresentation(f"immersion pullback needs n >= 2, m >= 1, got ({n}, {m})")
     source = StiefelPresentation(n, m, ring, profile)
     target = StiefelPresentation(n - 1, m - 1, ring, profile)
-    images = {i: (target.zero() if i == n else target.gen(i)) for i in source.generators}
-    return ring_map(source, target, images, "imm")
+    images = tuple((i, target.zero() if i == n else target.gen(i)) for i in source.generators)
+    return RingMap(source, target, images, "imm")
 
 
 def symmetry_pullback(n: int, m: int, kind: SymmetryKind,
@@ -172,24 +174,17 @@ def symmetry_pullback(n: int, m: int, kind: SymmetryKind,
         if m < 1:
             raise InvalidPresentation("the sign change needs at least one column")
         label = "neg"
-    return ring_map(pres, pres, {i: pres.gen(i) for i in pres.generators}, label)
+    return RingMap(pres, pres, tuple((i, pres.gen(i)) for i in pres.generators), label)
 
 
 def comparison_map(n: int,
                    ring: CoeffRing = CoeffRing(),
                    profile: FieldProfile = FieldProfile()) -> RingMap:
-    """H(GL(n)) -> H(G_m x P^{n-1}): rho_i -> sigma eta^{i-1}.
-
-    The construction runs the same relation check as every other map.  Over
-    this target the two sides of each check vanish together (2i-1 > n
-    forces 2i-2 >= n, killing eta^{2i-2}), so the map always comes out
-    defined on the whole ring; the generator-level fallback exists but is
-    never taken here.
-    """
+    """H(GL(n)) -> H(G_m x P^{n-1}): rho_i -> sigma eta^{i-1}."""
     source = StiefelPresentation(n, n, ring, profile)
     target = PGmPresentation(n, ring, profile)
-    images = {i: target._basis((1, i - 1)) for i in range(1, n + 1)}
-    return ring_map(source, target, images, "cmp")
+    images = tuple((i, target._basis((1, i - 1))) for i in source.generators)
+    return RingMap(source, target, images, "cmp")
 
 
 def kernel_basis(f: RingMap, bd) -> list[Element]:

@@ -26,7 +26,7 @@ from .algebra import (Element, StiefelPresentation, all_monomials, basis_element
                       random_element)
 from .coefficients import Bidegree, CoeffRing, FieldProfile, MCoefficient, binom_mod
 from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
-                   kernel_basis, projection_pullback, symmetry_pullback)
+                   kernel_basis, projection_pullback, ring_map, symmetry_pullback)
 from .operations import apply_operation, power, power_on_generator, sq_on_generator, square
 from .targets import (PGmPresentation, is_reduced, pgm_key_bidegree, reduced_part, sq_projective,
                       total_square_oracle)
@@ -347,7 +347,8 @@ def suite_comparison(result: SuiteResult, rng: random.Random) -> None:
     for ring in (_Z, CoeffRing(2)):
         for n in range(1, 11):
             f = comparison_map(n, ring, _PLAIN)
-            result.check(not f.generator_level_only,
+            # built unchecked; ring_map's relation check must give it back whole
+            result.check(ring_map(f.source, f.target, dict(f.images), f.label) == f,
                          f"comparison map downgraded at n={n} over {ring.name}")
             source = f.source
             target = f.target

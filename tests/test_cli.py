@@ -257,6 +257,9 @@ BOUNDED = [
      " + T^(399999999999999999992,199999999999999999997)"
      " + T^(599999999999999999985,299999999999999999994)"),
     (["basis", "-p", "1", "-q", "1", "-n", N20, "-m", "2"], 0, "  k=1: {-1}"),
+    # maps on 40,000 generators, built without a product per generator
+    (["map", "imm", "r3", "-n", "40000"], 0, "r3"),
+    (["map", "neg", "r3", "-n", "40000"], 0, "r3"),
 ]
 
 
@@ -264,7 +267,8 @@ BOUNDED = [
     "power at 2^61-1", "char 2^61-1", "L^bound squared", "char psi_13", "power at psi_13",
     "L^10^12", "json k above bound", "r<5000 digits>", "L^<5000 digits>",
     "json int of 5000 digits", "json nested 1500 deep", "present at n of 20 digits",
-    "series at n of 20 digits", "basis at n of 20 digits"])
+    "series at n of 20 digits", "basis at n of 20 digits", "imm on GL(40000)",
+    "neg on GL(40000)"])
 def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     start = time.perf_counter()
     result = run(*args)

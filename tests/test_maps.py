@@ -22,6 +22,11 @@ MAP_RINGS = (Z, Z2, CoeffRing(3), CoeffRing(4))
 MAP_PROFILES = (PLAIN, FieldProfile(minus_one_is_square=True))
 
 
+def rechecked(f):
+    """f rebuilt through ring_map, which checks the relations of its images."""
+    return ring_map(f.source, f.target, dict(f.images), f.label)
+
+
 class TestProjectionPullback:
     def test_top_generator(self):
         f = projection_pullback(4, 1, 3)
@@ -43,7 +48,8 @@ class TestProjectionPullback:
             projection_pullback(3, 1, 4)
 
     def test_total(self):
-        assert not projection_pullback(6, 2, 5).generator_level_only
+        f = projection_pullback(6, 2, 5)
+        assert rechecked(f) == f
 
 
 class TestImmersionPullback:
@@ -61,7 +67,7 @@ class TestImmersionPullback:
         # rho_2^2 = {-1} rho_3 -> 0, and (image rho_2)^2 = rho_2^2 = 0 in GL(2)
         f = immersion_pullback(3, 3)
         assert not apply_map(f, f.source.gen(2) * f.source.gen(2))
-        assert not f.generator_level_only
+        assert rechecked(f) == f
 
     def test_bounds(self):
         with pytest.raises(InvalidPresentation):
@@ -122,7 +128,8 @@ class TestComparisonMap:
     def test_always_total(self):
         for n in range(1, 11):
             for ring in (Z, Z2):
-                assert not comparison_map(n, ring).generator_level_only
+                f = comparison_map(n, ring)
+                assert rechecked(f) == f
 
     def test_respects_products(self):
         f = comparison_map(4)
@@ -443,3 +450,21 @@ class TestApplyMapAgainstReference:
                     _assert_matches_reference(f, x)
         # total and generator-level maps, each with multi-term images
         assert min(seen[True, True], seen[False, True]) >= 10, seen
+
+
+class TestBuiltinMapsAgainstRingMap:
+    # the built-in constructors skip ring_map's relation check; rebuilt
+    # through it, each map must come back equal: the same images in
+    # generator order, and defined on the whole ring
+    @pytest.mark.parametrize("ring", MAP_RINGS, ids=["Z", "Z/2", "Z/3", "Z/4"])
+    @pytest.mark.parametrize("profile", MAP_PROFILES, ids=["plain", "minus-one-square"])
+    def test_every_builtin_map(self, ring, profile):
+        for n in range(1, 9):
+            for f in _builtin_maps(n, ring, profile):
+                assert rechecked(f) == f, (f.label, n, f.source.m)
+
+    def test_planted_map_is_caught(self):
+        # rho_3 -> 0 breaks rho_2^2 = {-1} rho_3, so ring_map downgrades it
+        pres = StiefelPresentation(3, 3)
+        f = RingMap(pres, pres, ((1, pres.gen(1)), (2, pres.gen(2)), (3, pres.zero())), "bad")
+        assert rechecked(f) != f

@@ -12,7 +12,9 @@ suite pass (`suite_runs.library_checks`) checks both.  Each computation in
 UNCHECKED must run with the validating `Element.__post_init__` stubbed out,
 so that the shared pass sees every value it builds.  The planted faults
 below show that those oracles fail on what they guard against, and that
-the faults pass silently without them.
+the faults pass silently without them.  The built-in ring maps skip the
+relation check of `maps.ring_map`, which `tests/test_maps.py` runs on each
+of them as an oracle.
 """
 
 import contextlib
@@ -32,6 +34,9 @@ from stiefel.targets import PGmPresentation, total_square_oracle
 from suite_runs import library_checks
 from test_algebra import _reference_normal_word
 from test_linalg import _cone_invariants, _rational_solve, brute_force_kernel
+from test_maps import reference_apply_map
+from test_operations import reference_apply, reference_cartan
+from test_realisation import ComplexPoints, RealPoints, complex_points, real_points
 
 Z2 = CoeffRing(2)
 
@@ -60,6 +65,16 @@ def _stubbed(forbidden):
         yield
 
 
+# small inputs, built before any stub is in place
+W = StiefelPresentation(4, 4)
+X, Y = W.monomial((1, 2), 3) + W.gen(4), W.monomial((2, 4)) - W.gen(1) + W.minus_one()
+T = PGmPresentation(4)
+S, E = T.term(1, 1, 2) + T.term(0, 2), T.term(1, 0) + T.term(0, 1, -1)
+W2, W3 = StiefelPresentation(4, 4, Z2), StiefelPresentation(5, 5, CoeffRing(3))
+X2, X3 = W2.monomial((1, 2)) + W2.gen(3), W3.monomial((2, 3)) + W3.gen(1)
+CMP, IMM = maps.comparison_map(4), maps.immersion_pullback(5, 5)
+V = IMM.source.monomial((4, 5)) + IMM.source.gen(3)
+
 PRODUCT_PATH = [(algebra, "_normal_word"), (operations, "_normal_word"),
                 (algebra, "table_product"), (operations, "table_product"),
                 (StiefelPresentation, "codec"), (PGmPresentation, "codec")]
@@ -72,6 +87,18 @@ def _product():
 
 def _module_kernel():
     return linalg.module_kernel([{0: 2, 1: 1}], [2, 4, 3], [4])
+
+
+def _borel_values() -> list:
+    real, fx = RealPoints(4, 4), real_points(X2)
+    return [sorted(real.mul(fx, fx)), sorted(real.sq(1, fx)), sorted(real.sq(2, {(1, 2)})),
+            ComplexPoints(4, 4, 0).mul({(2,): 1}, {(1,): 1}),
+            ComplexPoints(5, 5, 3).power(1, {(2, 3): 1}), complex_points(X2)]
+
+
+def _reference_operations() -> list:
+    return [_plain(reference_apply(reference_cartan(op, x.pres), op, x))
+            for op, x in ((square(2), X2), (power(1, 3), X3))]
 
 
 ORACLES = [
@@ -123,6 +150,28 @@ ORACLES = [
         lambda: operations.apply_operation(square(2), PGmPresentation(6, Z2).eta(3)),
         [((0, 3), ((0, 1),)), ((0, 4), ((0, 1),)), ((0, 5), ((0, 1),))],
         id="total_square_oracle"),
+    # reference_cartan and reference_apply_map multiply Elements on purpose,
+    # so they reach the product path; the rewrite_outcomes and
+    # _reference_normal_word rows check that path against oracles that do not
+    pytest.param(
+        _reference_operations,
+        [(operations, "_cartan"), (operations, "_generator_table")],
+        lambda: operations.apply_operation(square(2), X2),
+        [[((1, 3), ((0, 1),))], [((2, 5), ((0, 2),)), ((3, 4), ((0, 2),))]],
+        id="reference_cartan"),
+    pytest.param(
+        lambda: _plain(reference_apply_map(CMP, X)),
+        [(maps, "_term_image")], lambda: maps.apply_map(CMP, X),
+        [((1, 1), ((1, 1),)), ((1, 3), ((0, 1),))],
+        id="reference_apply_map"),
+    pytest.param(
+        _borel_values,
+        PRODUCT_PATH + [(operations, "_cartan"), (operations, "_generator_table"),
+                        (coefficients, "binom_mod"), (operations, "binom_mod"),
+                        (suites, "binom_mod")],
+        lambda: operations.apply_operation(square(2), X2),
+        [[(0, 2)], [(0, 2)], [], {(1, 2): -1}, {(2, 5): 2, (3, 4): 2}, {(3,): 1, (1, 2): 1}],
+        id="realisation"),
 ]
 
 
@@ -134,15 +183,14 @@ def test_oracle_does_not_reach_its_fast_path(oracle, forbidden, fast, expected):
             fast()
 
 
-# small inputs, built before Element.__post_init__ is stubbed
-W = StiefelPresentation(4, 4)
-X, Y = W.monomial((1, 2), 3) + W.gen(4), W.monomial((2, 4)) - W.gen(1) + W.minus_one()
-T = PGmPresentation(4)
-S, E = T.term(1, 1, 2) + T.term(0, 2), T.term(1, 0) + T.term(0, 1, -1)
-W2, W3 = StiefelPresentation(4, 4, Z2), StiefelPresentation(5, 5, CoeffRing(3))
-X2, X3 = W2.monomial((1, 2)) + W2.gen(3), W3.monomial((2, 3)) + W3.gen(1)
-CMP, IMM = maps.comparison_map(4), maps.immersion_pullback(5, 5)
-V = IMM.source.monomial((4, 5)) + IMM.source.gen(3)
+BUILT_IN_MAPS = [
+    pytest.param(lambda: maps.projection_pullback(4, 2, 4), id="projection_pullback"),
+    pytest.param(lambda: maps.immersion_pullback(4, 3), id="immersion_pullback"),
+    pytest.param(lambda: [maps.symmetry_pullback(3, 3, SymmetryKind.PERMUTATION, (2, 1, 3)),
+                          maps.symmetry_pullback(3, 2, SymmetryKind.NEGATE_FIRST_COLUMN)],
+                 id="symmetry_pullback"),
+    pytest.param(lambda: maps.comparison_map(4), id="comparison_map"),
+]
 
 UNCHECKED = [
     pytest.param(lambda: [X * Y, X + Y, X - Y, -X, X.scale(3), 2 * X, Y * 0],
@@ -155,12 +203,7 @@ UNCHECKED = [
                  id="sq_on_generator"),
     pytest.param(lambda: [operations.power_on_generator(1, j, 3, W3) for j in W3.generators],
                  id="power_on_generator"),
-    pytest.param(lambda: maps.projection_pullback(4, 2, 4), id="projection_pullback"),
-    pytest.param(lambda: maps.immersion_pullback(4, 3), id="immersion_pullback"),
-    pytest.param(lambda: [maps.symmetry_pullback(3, 3, SymmetryKind.PERMUTATION, (2, 1, 3)),
-                          maps.symmetry_pullback(3, 2, SymmetryKind.NEGATE_FIRST_COLUMN)],
-                 id="symmetry_pullback"),
-    pytest.param(lambda: maps.comparison_map(4), id="comparison_map"),
+    *BUILT_IN_MAPS,
     pytest.param(lambda: maps.compose(CMP, IMM), id="compose"),
     pytest.param(lambda: [maps.apply_map(CMP, X), maps.apply_map(IMM, V)], id="apply_map"),
     pytest.param(lambda: [maps.kernel_basis(CMP, bd) for bd in [(4, 3), (6, 4), (8, 5)]],
@@ -181,6 +224,15 @@ def test_the_library_builds_its_own_values_unchecked(compute):
         assert compute() == expected
         with pytest.raises(AssertionError, match="^reached __post_init__$"):
             W.element((1,))
+
+
+@pytest.mark.parametrize("build", BUILT_IN_MAPS)
+def test_the_built_in_maps_skip_the_relation_check(build):
+    expected = build()
+    with _stubbed([(maps, "ring_map"), (maps, "_respects_square")]):
+        assert build() == expected
+        with pytest.raises(AssertionError, match="^reached ring_map$"):
+            maps.compose(CMP, IMM)
 
 
 def _unsorted_from_terms(pres, terms):
