@@ -113,8 +113,7 @@ class Presentation:
 
     def _basis(self, key) -> "Element":
         """The valid key with unit coefficient, not checked."""
-        one = MCoefficient._unchecked(self.ring, self.profile, ((0, 1),))
-        return self._from_terms(((key, one),))
+        return self._from_terms(((key, MCoefficient.one(self.ring, self.profile)),))
 
     def zero(self) -> "Element":
         return self._from_terms(())
