@@ -1,14 +1,15 @@
 """Ring homomorphisms between the computed rings.
 
-Maps are stored by generator images.  apply_map and kernel_basis share
-one fold, _term_image, that extends them multiplicatively on tables of
-packed coefficients (algebra.table_product); {-1}-powers map to
-themselves.  apply_map adds every term's image into one table and
-kernel_basis writes each into module_kernel rows.
-Only ring_map, which takes the caller's images and compose's, verifies
-that they respect the squaring relations; a map failing that check is
-kept, but downgraded to generator-level and usable only on the span of
-single generators.  The built-in maps hold by construction, unchecked.
+A map keeps one image per generator, in generator order.  apply_map and
+kernel_basis share one fold, _term_image, that tabulates the images of the
+generators its input names and extends them multiplicatively on tables of
+packed coefficients (algebra.table_product); {-1}-powers map to themselves.
+apply_map adds every term's image into one table and kernel_basis writes
+each into module_kernel rows.  Only ring_map, which takes the caller's
+images and compose's, verifies that they respect the squaring relations; a
+map failing that check is kept, but downgraded to generator-level and usable
+only on the span of single generators.  The built-in maps hold by
+construction, unchecked.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class SymmetryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class RingMap:
-    """A homomorphism out of a Stiefel ring, given on generators.
+    """A ring homomorphism; images[k] is the image of source.generators[k].
 
     generator_level_only marks maps whose images fail the relation check;
     those may only be applied to combinations of single generators.
@@ -39,15 +40,14 @@ class RingMap:
 
     source: StiefelPresentation
     target: Presentation
-    images: tuple[tuple[int, Element], ...]
+    images: tuple[Element, ...]
     label: str
     generator_level_only: bool = False
 
     def image(self, i: int) -> Element:
-        for j, img in self.images:
-            if j == i:
-                return img
-        raise InvalidGenerator(f"rho_{i} is not a generator of the source of '{self.label}'")
+        if not self.source.is_generator(i):
+            raise InvalidGenerator(f"rho_{i} is not a generator of the source of '{self.label}'")
+        return self.images[i - self.source.generators.start]
 
 
 def ring_map(source: StiefelPresentation, target: Presentation,
@@ -73,7 +73,7 @@ def ring_map(source: StiefelPresentation, target: Presentation,
             raise ValueError(f"image of rho_{i} is not homogeneous of bidegree {expected}")
         imgs[i] = img
     total = all(_respects_square(source, imgs, i) for i in source.generators)
-    return RingMap(source, target, tuple(sorted(imgs.items())), label,
+    return RingMap(source, target, tuple(imgs.values()), label,
                    generator_level_only=not total)
 
 
@@ -84,14 +84,14 @@ def _respects_square(source: StiefelPresentation, imgs: Mapping[int, Element],
     return imgs[i] * imgs[i] == rhs
 
 
-def _term_image(f: RingMap):
+def _term_image(f: RingMap, inputs):
     """The function image(mono, terms, acc) that adds f's image of the term
     (monomial, MCoefficient terms) into the target table acc and returns
-    acc; the generator images are tabulated once per call."""
+    acc; it tabulates the images of the generators inputs' monomials name."""
     target = f.target
     encode, _, product, nil, twisted = target.codec()
     n, unit = target.n, encode(target.unit_key)
-    images = {i: target.table(img) for i, img in f.images}
+    images = {i: target.table(f.image(i)) for i in {i for mono, _ in inputs for i in mono}}
     one = {unit: pack(((0, 1),), twisted)}
 
     def image(mono: tuple[int, ...], terms, acc: dict) -> dict:
@@ -111,7 +111,7 @@ def apply_map(f: RingMap, x: Element) -> Element:
     The terms are summed in one table, so one element is built per call."""
     if x.pres != f.source:
         raise ContextMismatch(f"element is not in the source ring of '{f.label}'")
-    image, acc = _term_image(f), {}
+    image, acc = _term_image(f, x.terms), {}
     for mono, c in x.terms:
         image(mono, c.terms, acc)
     return f.target.from_table(acc)
@@ -138,7 +138,7 @@ def projection_pullback(n: int, m_small: int, m_big: int,
             f"need 0 <= m_small <= m_big <= n, got ({n}, {m_small}, {m_big})")
     source = StiefelPresentation(n, m_small, ring, profile)
     target = StiefelPresentation(n, m_big, ring, profile)
-    images = tuple((i, target.gen(i)) for i in source.generators)
+    images = tuple(target.gen(i) for i in source.generators)
     return RingMap(source, target, images, "proj")
 
 
@@ -154,7 +154,7 @@ def immersion_pullback(n: int, m: int,
         raise InvalidPresentation(f"immersion pullback needs n >= 2, m >= 1, got ({n}, {m})")
     source = StiefelPresentation(n, m, ring, profile)
     target = StiefelPresentation(n - 1, m - 1, ring, profile)
-    images = tuple((i, target.zero() if i == n else target.gen(i)) for i in source.generators)
+    images = tuple(target.zero() if i == n else target.gen(i) for i in source.generators)
     return RingMap(source, target, images, "imm")
 
 
@@ -174,7 +174,7 @@ def symmetry_pullback(n: int, m: int, kind: SymmetryKind,
         if m < 1:
             raise InvalidPresentation("the sign change needs at least one column")
         label = "neg"
-    return RingMap(pres, pres, tuple((i, pres.gen(i)) for i in pres.generators), label)
+    return RingMap(pres, pres, tuple(pres.gen(i) for i in pres.generators), label)
 
 
 def comparison_map(n: int,
@@ -183,7 +183,7 @@ def comparison_map(n: int,
     """H(GL(n)) -> H(G_m x P^{n-1}): rho_i -> sigma eta^{i-1}."""
     source = StiefelPresentation(n, n, ring, profile)
     target = PGmPresentation(n, ring, profile)
-    images = tuple((i, target._basis((1, i - 1))) for i in source.generators)
+    images = tuple(target._basis((1, i - 1)) for i in source.generators)
     return RingMap(source, target, images, "cmp")
 
 
@@ -211,7 +211,7 @@ def kernel_basis(f: RingMap, bd) -> list[Element]:
         encode, decode, _, _, twisted = f.target.codec()
         index = {(encode(key), k): t for t, (key, k) in enumerate(tgt_lines)}
         rows: list[dict[int, int]] = [{} for _ in tgt_lines]
-        image = _term_image(f)
+        image = _term_image(f, src_lines)
         for col, (mono, power) in enumerate(src_lines):
             for code, packed in image(mono, ((power, 1),), {}).items():
                 for k, value in unpack(packed, ring.modulus, twisted):

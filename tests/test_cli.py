@@ -257,6 +257,7 @@ BOUNDED = [
      " + T^(399999999999999999992,199999999999999999997)"
      " + T^(599999999999999999985,299999999999999999994)"),
     (["basis", "-p", "1", "-q", "1", "-n", N20, "-m", "2"], 0, "  k=1: {-1}"),
+    (["map", "neg", "0", "-n", N20, "-m", "2", "--coeff", "Z/3"], 0, "0"),
     # maps on 40,000 generators, built without a product per generator
     (["map", "imm", "r3", "-n", "40000"], 0, "r3"),
     (["map", "neg", "r3", "-n", "40000"], 0, "r3"),
@@ -267,7 +268,8 @@ BOUNDED = [
     "power at 2^61-1", "char 2^61-1", "L^bound squared", "char psi_13", "power at psi_13",
     "L^10^12", "json k above bound", "r<5000 digits>", "L^<5000 digits>",
     "json int of 5000 digits", "json nested 1500 deep", "present at n of 20 digits",
-    "series at n of 20 digits", "basis at n of 20 digits", "imm on GL(40000)",
+    "series at n of 20 digits", "basis at n of 20 digits", "map at n of 20 digits",
+    "imm on GL(40000)",
     "neg on GL(40000)"])
 def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     start = time.perf_counter()
@@ -277,6 +279,29 @@ def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     assert result.output.splitlines()[-1] == last
     assert code != 3 or len(result.output.splitlines()) == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_a_map_tabulates_only_the_generators_its_input_names():
+    # the child reports the peak of its own address space (VmHWM) at exit;
+    # ru_maxrss would not do: RUSAGE_CHILDREN keeps the largest peak of any
+    # earlier child of this process, and RUSAGE_SELF survives exec, so it
+    # starts at this process's own peak
+    code = ("import atexit, runpy, sys\n"
+            "def peak():\n"
+            "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "               if line.startswith('VmHWM:')))\n"
+            "atexit.register(peak)\n"
+            "sys.argv = ['stiefel', 'map', 'imm', 'r3', '-n', '40000']\n"
+            "runpy.run_module('stiefel.cli', run_name='__main__')\n")
+    src = str(Path(stiefel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    answer, peak_kb = proc.stdout.splitlines()
+    assert answer == "r3"
+    assert int(peak_kb) < 80 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
 
 
 # each ring command with arguments of its own that fail too, so that the

@@ -183,15 +183,20 @@ def test_is_prime():
 PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
 
 
+def _sieve(size: int) -> list[int]:
+    """The primes below size, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * size
+    sieve[0] = sieve[1] = 0
+    for d in range(2, math.isqrt(size) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(range(d * d, size, d)))
+    return [p for p in range(size) if sieve[p]]
+
+
 class TestIsPrime:
     def test_every_number_below_ten_to_the_five_against_a_sieve(self):
         size = 10**5
-        sieve = bytearray([1]) * size
-        sieve[0] = sieve[1] = 0
-        for d in range(2, math.isqrt(size) + 1):
-            if sieve[d]:
-                sieve[d * d::d] = bytearray(len(range(d * d, size, d)))
-        assert [p for p in range(size) if is_prime(p)] == [p for p in range(size) if sieve[p]]
+        assert [p for p in range(size) if is_prime(p)] == _sieve(size)
         assert not any(is_prime(p) for p in range(-5, 0))
 
     def test_against_sympy(self):

@@ -194,7 +194,7 @@ def group_kernels() -> list[str]:
         for f in _total_maps(n, ring, profile):
             out += _kernel_lines(f)
     for f in random_total_maps(RINGS):
-        out += [f"{f.target}"] + [element_to_json(img) for _, img in f.images]
+        out += [f"{f.target}"] + [element_to_json(img) for img in f.images]
         out += _kernel_lines(f)
     return out
 

@@ -1,10 +1,12 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
-from stiefel.algebra import (Element, StiefelPresentation, all_monomials, basis_element,
-                             basis_in_bidegree, monomial_bidegree, random_element)
+from stiefel.algebra import (Element, Presentation, StiefelPresentation, all_monomials,
+                             basis_element, basis_in_bidegree, monomial_bidegree,
+                             random_element)
 from stiefel.coefficients import CoeffRing, FieldProfile, MCoefficient
 from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation, SpanError
 from stiefel.linalg import module_kernel
@@ -24,7 +26,7 @@ MAP_PROFILES = (PLAIN, FieldProfile(minus_one_is_square=True))
 
 def rechecked(f):
     """f rebuilt through ring_map, which checks the relations of its images."""
-    return ring_map(f.source, f.target, dict(f.images), f.label)
+    return ring_map(f.source, f.target, dict(zip(f.source.generators, f.images)), f.label)
 
 
 class TestProjectionPullback:
@@ -259,6 +261,31 @@ class TestCompose:
             compose(immersion_pullback(4, 4), projection_pullback(3, 1, 3))
 
 
+def _counted_tables():
+    # autospec binds self; side_effect keeps table's value (wraps would not
+    # under autospec on CPython 3.11)
+    return mock.patch.object(Presentation, "table", autospec=True,
+                             side_effect=Presentation.table)
+
+
+class TestTablesPerCall:
+    # a call tabulates only the images of the generators its input names
+    def test_apply_map_tabulates_one_image(self):
+        f = immersion_pullback(2000, 2000)
+        with _counted_tables() as table:
+            assert apply_map(f, f.source.gen(3)) == f.target.gen(3)
+        assert table.call_count == 1
+
+    def test_compose_is_linear(self):
+        m = 300
+        proj = projection_pullback(m, m, m)
+        with _counted_tables() as table:
+            composite = compose(proj, proj)
+        assert composite.images == proj.images and not composite.generator_level_only
+        # m images applied, then two tables per product in ring_map's check
+        assert table.call_count <= 3 * m
+
+
 class TestKernelBasis:
     def test_spec_examples(self):
         f = immersion_pullback(3, 3)
@@ -466,5 +493,5 @@ class TestBuiltinMapsAgainstRingMap:
     def test_planted_map_is_caught(self):
         # rho_3 -> 0 breaks rho_2^2 = {-1} rho_3, so ring_map downgrades it
         pres = StiefelPresentation(3, 3)
-        f = RingMap(pres, pres, ((1, pres.gen(1)), (2, pres.gen(2)), (3, pres.zero())), "bad")
+        f = RingMap(pres, pres, (pres.gen(1), pres.gen(2), pres.zero()), "bad")
         assert rechecked(f) != f

@@ -33,6 +33,7 @@ from stiefel.targets import PGmPresentation, total_square_oracle
 
 from suite_runs import library_checks
 from test_algebra import _reference_normal_word
+from test_coefficients import _sieve
 from test_linalg import _cone_invariants, _rational_solve, brute_force_kernel
 from test_maps import reference_apply_map
 from test_operations import reference_apply, reference_cartan
@@ -172,6 +173,10 @@ ORACLES = [
         lambda: operations.apply_operation(square(2), X2),
         [[(0, 2)], [(0, 2)], [], {(1, 2): -1}, {(2, 5): 2, (3, 4): 2}, {(3,): 1, (1, 2): 1}],
         id="realisation"),
+    pytest.param(
+        lambda: _sieve(30), [(coefficients, "is_prime")], lambda: coefficients.is_prime(97),
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29],
+        id="_sieve"),
 ]
 
 
