@@ -269,8 +269,7 @@ BOUNDED = [
     "L^10^12", "json k above bound", "r<5000 digits>", "L^<5000 digits>",
     "json int of 5000 digits", "json nested 1500 deep", "present at n of 20 digits",
     "series at n of 20 digits", "basis at n of 20 digits", "map at n of 20 digits",
-    "imm on GL(40000)",
-    "neg on GL(40000)"])
+    "imm on GL(40000)", "neg on GL(40000)"])
 def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     start = time.perf_counter()
     result = run(*args)
@@ -279,29 +278,6 @@ def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     assert result.output.splitlines()[-1] == last
     assert code != 3 or len(result.output.splitlines()) == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-
-
-def test_a_map_tabulates_only_the_generators_its_input_names():
-    # the child reports the peak of its own address space (VmHWM) at exit;
-    # ru_maxrss would not do: RUSAGE_CHILDREN keeps the largest peak of any
-    # earlier child of this process, and RUSAGE_SELF survives exec, so it
-    # starts at this process's own peak
-    code = ("import atexit, runpy, sys\n"
-            "def peak():\n"
-            "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "               if line.startswith('VmHWM:')))\n"
-            "atexit.register(peak)\n"
-            "sys.argv = ['stiefel', 'map', 'imm', 'r3', '-n', '40000']\n"
-            "runpy.run_module('stiefel.cli', run_name='__main__')\n")
-    src = str(Path(stiefel.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    answer, peak_kb = proc.stdout.splitlines()
-    assert answer == "r3"
-    assert int(peak_kb) < 80 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
 
 
 # each ring command with arguments of its own that fail too, so that the
@@ -583,18 +559,39 @@ class TestCheck:
             assert result.output.splitlines()[0] == "FAIL rank (3 cases): planted"
 
 
-def fresh_modules(code: str) -> set[str]:
+def fresh_python(code: str) -> list[str]:
     """Run code in a fresh interpreter that imports stiefel from this
-    checkout; return the stiefel modules it loaded, and fractions if it
-    loaded that."""
-    code = ("import json, sys\n" + code + "print(json.dumps(sorted(\n"
-            "    m for m in sys.modules if m.startswith('stiefel.') or m == 'fractions')))\n")
+    checkout; return the lines it printed."""
     src = str(Path(stiefel.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.splitlines()
+
+
+def fresh_modules(code: str) -> set[str]:
+    """The stiefel modules that code loads in a fresh interpreter, and
+    fractions if it loads that."""
+    code = ("import json, sys\n" + code + "print(json.dumps(sorted(\n"
+            "    m for m in sys.modules if m.startswith('stiefel.') or m == 'fractions')))\n")
+    return set(json.loads(fresh_python(code)[-1]))
+
+
+def test_a_map_tabulates_only_the_generators_its_input_names():
+    # the child reports the peak of its own address space (VmHWM) at exit;
+    # ru_maxrss would not do: RUSAGE_CHILDREN keeps the largest peak of any
+    # earlier child of this process, and RUSAGE_SELF survives exec, so it
+    # starts at this process's own peak
+    answer, peak_kb = fresh_python(
+        "import atexit, runpy, sys\n"
+        "def peak():\n"
+        "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "               if line.startswith('VmHWM:')))\n"
+        "atexit.register(peak)\n"
+        "sys.argv = ['stiefel', 'map', 'imm', 'r3', '-n', '40000']\n"
+        "runpy.run_module('stiefel.cli', run_name='__main__')\n")
+    assert answer == "r3"
+    assert int(peak_kb) < 80 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
 
 
 # the modules each command loads, run in a fresh interpreter; none loads fractions
