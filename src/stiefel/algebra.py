@@ -24,9 +24,9 @@ twisted_modulus, pack and unpack stay the one owner of the torsion rule.
 
 Element is the element type of every computed ring: it reads the keys and
 their product from a Presentation, here StiefelPresentation and, for the
-Tate target, targets.PGmPresentation.  Products, ring maps and the
-Steenrod kernel's input fold multiply {code: packed coefficient} tables
-(coefficients.pack) in table_product; Presentation.from_table unpacks them.
+Tate target, targets.PGmPresentation.  Products and ring maps multiply
+{code: packed coefficient} tables (coefficients.pack) in table_product, the
+Steenrod kernel sums them, and Presentation.from_table unpacks them.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 math-context error (also a basis
 piece of more than MAX_BASIS_LINES lines, a Poincare series of more than
-MAX_SERIES_TERMS terms, or a presentation of more than
-MAX_PRESENT_GENERATORS generators), 4 property failure.  The environment
-variable STIEFEL_SEED overrides --seed.
+MAX_SERIES_TERMS terms, a presentation of more than MAX_PRESENT_GENERATORS
+generators, or a map whose source has more than MAX_MAP_GENERATORS), 4
+property failure.  The environment variable STIEFEL_SEED overrides --seed.
 
 Every ring command takes its ring through ring_options, which hands it one
 StiefelPresentation built, like everything the command raises, inside
@@ -43,6 +43,9 @@ MAX_SERIES_TERMS = 10_000
 # anything: its output has a line or an entry per generator, and 10,000 of
 # them print in well under a second
 MAX_PRESENT_GENERATORS = 10_000
+# `map` refuses sources with more generators than this, before building any of
+# their images, one per generator: `map imm` on 50,000 answers in a third of a second
+MAX_MAP_GENERATORS = 50_000
 
 
 def guarded(fn):
@@ -237,6 +240,9 @@ def series(pres, fmt):
 @ring_options
 def map_cmd(pres, label, x, m_big, sigma_text, fmt):
     """Apply one of the induced ring maps to an element of its source."""
+    if pres.m > MAX_MAP_GENERATORS:
+        raise StiefelError(f"W({pres.n},{pres.m}) has {pres.m} generators, "
+                           f"more than the {MAX_MAP_GENERATORS} that map takes")
     from .maps import (SymmetryKind, apply_map, comparison_map, immersion_pullback,
                        projection_pullback, symmetry_pullback)
 

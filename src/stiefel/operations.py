@@ -26,15 +26,13 @@ The Cartan sum runs on plain integers.  Each call tabulates the nonzero
 generator values (b, rho_target bit, binomial) of the surviving terms'
 generators; target = j + b(p-1) <= n bounds a row by (n - j)/(p - 1) + 1
 entries, and at p = 2 a row lists the submasks b of j - 1 (Lucas).  The
-kernel (_cartan) peels the lowest generator first, so the top generators,
-which contract or vanish, cut terms before the wide low rows multiply
-them; it skips degrees above a suffix's capacity, keeps its memo for one
-call and runs on a work list, so no monomial is too long for the stack.
-Over Z/p one int holds a coefficient: a bitset of the Z/2 coefficients of
-the {-1}-powers when they survive (then p = 2), else a residue mod p.
-_apply_stiefel folds in the input's coefficients by algebra.table_product
-before Presentation.from_table builds the result; both skip products
-meeting in the codec's zero mask.
+kernel (_cartan) takes one term, seeded with its coefficient, and peels
+the lowest generator first, so the top generators, which contract or
+vanish, cut terms before the wide low rows multiply them; it skips degrees
+above a suffix's capacity and keeps two levels of a work list, so neither
+the stack nor memory outgrows the monomial.  Over Z/p one int holds a
+coefficient: a bitset of the Z/2 coefficients of the {-1}-powers when they
+survive (then p = 2), else a residue mod p, summed in one table per call.
 
 On the Tate target the same formula acts key by key through the comparison
 map rho_j -> sigma eta^{j-1}: P^i(eta^e) = binom(e, i) eta^{e+i(p-1)}, zero
@@ -47,8 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import (Element, StiefelPresentation, _normal_word, _shapes, monomial_bidegree,
-                      table_product)
+from .algebra import Element, StiefelPresentation, _normal_word, _shapes, monomial_bidegree
 from .coefficients import Bidegree, CoeffRing, FieldProfile, binom_mod, is_prime, pack
 from .errors import InadmissibleOperation
 
@@ -173,19 +170,20 @@ def _apply_stiefel(op: Operation, x: Element) -> Element:
     """An even operation on an element of H(W(n, m)) by the Cartan sum."""
     pres = x.pres
     n, p, index, shift = pres.n, op.prime, op.index, op.bidegree_shift
-    _, _, product, nil, twisted = pres.codec()
+    _, _, _, nil, twisted = pres.codec()
     # the value on w lies in the piece of bidegree(w) + shift, so it is
     # zero, and so is any {-1}-multiple of it, when that piece has no line
     terms = [(mono, c) for mono, c in x.terms if _shapes(pres, monomial_bidegree(mono) + shift)]
     table = _generator_table(n, p, index, terms)
-    memo: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
-    acc: dict = {}
+    acc: dict[int, int] = {}
     for mono, c in terms:
-        value = _cartan(memo, table, n, nil, p, twisted, mono, index)
-        if twisted == 2:  # bit 0 of the bitset is c_0
-            value = {a: (v & 1, v & -2) for a, v in value.items()}
-        # the coefficient multiplies as a table on the unit key
-        table_product(n, product, nil, twisted, value, {0: pack(c.terms, twisted)}, acc)
+        seed = pack(c.terms, twisted)
+        if twisted == 2:  # the bitset, bit 0 being c_0 mod 2
+            seed = seed[0] & 1 | seed[1]
+        for a, v in _cartan(table, n, nil, p, twisted, mono, index, seed).items():
+            acc[a] = acc.get(a, 0) ^ v if twisted == 2 else acc.get(a, 0) + v
+    if twisted == 2:
+        acc = {a: (v & 1, v & -2) for a, v in acc.items()}
     return pres.from_table(acc)
 
 
@@ -220,11 +218,11 @@ def _generator_table(n: int, p: int, index: int, terms) -> dict[int, list]:
     return table
 
 
-def _cartan(memo: dict, table: dict[int, list], n: int, nil: int, p: int,
-            twisted: int, mono: tuple[int, ...], k: int) -> dict[int, int]:
-    """The degree-k operation on the monomial mono, as {mask: int}, by the
-    Cartan sum over its lowest generator j: the degree-d value of rho_j t
-    sums P^b(rho_j) times the degree-(d - b) value of its tail t, the
+def _cartan(table: dict[int, list], n: int, nil: int, p: int, twisted: int,
+            mono: tuple[int, ...], k: int, seed: int) -> dict[int, int]:
+    """seed times the degree-k operation on the monomial mono, as {mask: int},
+    by the Cartan sum over its lowest generator j: the degree-d value of
+    rho_j t sums P^b(rho_j) times the degree-(d - b) value of its tail t, the
     generator value on the left.  The ring is Z/p; twisted (twisted_modulus)
     is 2 only for an even modulus, and then p = 2 and the int is a bitset
     whose bit e is the Z/2 coefficient of {-1}^e: signs and binomials are 1,
@@ -232,49 +230,43 @@ def _cartan(memo: dict, table: dict[int, list], n: int, nil: int, p: int,
     the bitset shifted by its twist.  When it is 1, every positive
     {-1}-power vanishes, so the int is the coefficient mod p, contracting
     products are skipped, and the sign of a left product with the bit of a
-    generator value is the parity of the generators of t below it.
+    generator value is the parity of the generators of t below it.  Each
+    step is linear in the int, so the empty suffix starts at seed, the
+    term's coefficient in that form.
 
-    memo[suffix mask][degree] holds the values, zeros dropped, so cancelled
-    monomials stop propagating; the caller owns it, seeds it with the unit
-    and shares it between the terms of one call.  A degree above the
-    capacity of a suffix, the sum of the largest b in its generators' rows,
-    is zero and never looked up.  A work list stands in for recursion: the
-    descent peels a generator per level and collects the tail degrees asked
-    for and not in memo until none is left; the ascent computes them."""
-    mask = cap = 0
-    for j in mono:
-        mask |= 1 << j
-        cap += table[j][-1][0]
+    Degrees above a suffix's capacity, the sum of the largest b in its
+    generators' rows, are zero and never computed; zero values are dropped,
+    so cancelled monomials stop propagating.  The descent peels a generator
+    per level and collects the tail degrees that level asks for; the ascent
+    computes them from the empty suffix up, keeping only the level below."""
+    cap = sum(table[j][-1][0] for j in mono)
     if k > cap:
         return {}
-    top = values = memo.setdefault(mask, {})
-    levels, need = [], () if k in values else (k,)
+    levels, need = [], (k,)
     for j in mono:
-        if not need:
-            break
         row = table[j]
-        mask ^= 1 << j
         cap -= row[-1][0]
-        tail = memo.setdefault(mask, {})
-        levels.append((values, row, tail, cap, need))
+        levels.append((row, need))
         wanted = set()
         for d in need:
             for b, _, _ in row:
                 if b > d:
                     break
-                if d - b <= cap and d - b not in tail:
+                if d - b <= cap:
                     wanted.add(d - b)
-        need, values = wanted, tail
-    for values, row, tail, cap, need in reversed(levels):
+        need = wanted
+    tail = {0: {0: seed}}
+    for row, need in reversed(levels):
+        values = {}
         for d in need:
             acc: dict[int, int] = {}
             for b, bit, c in row:
                 if b > d:
                     break
-                if d - b > cap:
+                if not (part := tail.get(d - b)):  # None above the tail's capacity
                     continue
                 if twisted == 2:
-                    for a, v in tail[d - b].items():
+                    for a, v in part.items():
                         if not a & bit:
                             a |= bit
                         elif a & bit & nil or (nf := _normal_word(n, bit, a)) is None:
@@ -285,7 +277,7 @@ def _cartan(memo: dict, table: dict[int, list], n: int, nil: int, p: int,
                         acc[a] = acc.get(a, 0) ^ v
                 else:
                     below = bit - 1
-                    for a, v in tail[d - b].items():
+                    for a, v in part.items():
                         if a & bit:
                             continue
                         if (a & below).bit_count() & 1:
@@ -293,7 +285,8 @@ def _cartan(memo: dict, table: dict[int, list], n: int, nil: int, p: int,
                         a |= bit
                         acc[a] = (acc.get(a, 0) + c * v) % p
             values[d] = {a: v for a, v in acc.items() if v}
-    return top[k]
+        tail = values
+    return tail[k]
 
 
 def _apply_tate(op: Operation, x: Element) -> Element:

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import stiefel
 from stiefel import suites
 from stiefel.algebra import StiefelPresentation, basis_element, basis_in_bidegree, piece_size
-from stiefel.cli import build_presentation, main
+from stiefel.cli import MAX_MAP_GENERATORS, build_presentation, main
 from stiefel.coefficients import CoeffRing, FieldProfile
 from stiefel.render import basis_report, element_text
 from stiefel.serialize import MAX_MINUS_ONE_POWER, element_from_json, element_to_json
@@ -261,6 +261,11 @@ BOUNDED = [
     # maps on 40,000 generators, built without a product per generator
     (["map", "imm", "r3", "-n", "40000"], 0, "r3"),
     (["map", "neg", "r3", "-n", "40000"], 0, "r3"),
+    # a map builds one image per generator of its source, up to a bound
+    (["map", "imm", "r3", "-n", str(MAX_MAP_GENERATORS)], 0, "r3"),
+    (["map", "imm", "r3", "-n", str(MAX_MAP_GENERATORS + 1)], 3,
+     f"error: W({MAX_MAP_GENERATORS + 1},{MAX_MAP_GENERATORS + 1}) has "
+     f"{MAX_MAP_GENERATORS + 1} generators, more than the {MAX_MAP_GENERATORS} that map takes"),
 ]
 
 
@@ -269,7 +274,7 @@ BOUNDED = [
     "L^10^12", "json k above bound", "r<5000 digits>", "L^<5000 digits>",
     "json int of 5000 digits", "json nested 1500 deep", "present at n of 20 digits",
     "series at n of 20 digits", "basis at n of 20 digits", "map at n of 20 digits",
-    "imm on GL(40000)", "neg on GL(40000)"])
+    "imm on GL(40000)", "neg on GL(40000)", "imm at the map bound", "imm above the map bound"])
 def test_large_primes_and_powers_answer_or_refuse_fast(args, code, last):
     start = time.perf_counter()
     result = run(*args)
@@ -577,7 +582,21 @@ def fresh_modules(code: str) -> set[str]:
     return set(json.loads(fresh_python(code)[-1]))
 
 
-def test_a_map_tabulates_only_the_generators_its_input_names():
+GL2200 = StiefelPresentation(2200, 2200, CoeffRing(2), FieldProfile())
+LONG = tuple(range(1, 1101))  # a monomial of 1,100 generators of GL(2200)
+# (argv, expected output, bound on the child's peak in MB)
+CHILD_PEAKS = [
+    # a map tabulates only the generators its input names
+    (["map", "imm", "r3", "-n", "40000"], lambda: "r3", 80),
+    # the Cartan kernel keeps two levels of the monomial at a time
+    (["sq", "-i", "2", element_to_json(GL2200.monomial(LONG)), "-n", "2200", "--format", "json"],
+     lambda: element_to_json(one_step_sq2(GL2200, LONG)), 60),
+]
+
+
+@pytest.mark.parametrize("argv, expected, bound_mb", CHILD_PEAKS,
+                         ids=["map imm on GL(40000)", "sq on 1100 generators of GL(2200)"])
+def test_a_request_peaks_under_its_bound(argv, expected, bound_mb):
     # the child reports the peak of its own address space (VmHWM) at exit;
     # ru_maxrss would not do: RUSAGE_CHILDREN keeps the largest peak of any
     # earlier child of this process, and RUSAGE_SELF survives exec, so it
@@ -588,10 +607,10 @@ def test_a_map_tabulates_only_the_generators_its_input_names():
         "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
         "               if line.startswith('VmHWM:')))\n"
         "atexit.register(peak)\n"
-        "sys.argv = ['stiefel', 'map', 'imm', 'r3', '-n', '40000']\n"
+        f"sys.argv = {['stiefel', *argv]!r}\n"
         "runpy.run_module('stiefel.cli', run_name='__main__')\n")
-    assert answer == "r3"
-    assert int(peak_kb) < 80 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
+    assert answer == expected()
+    assert int(peak_kb) < bound_mb * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
 
 
 # the modules each command loads, run in a fresh interpreter; none loads fractions

@@ -77,7 +77,7 @@ CMP, IMM = maps.comparison_map(4), maps.immersion_pullback(5, 5)
 V = IMM.source.monomial((4, 5)) + IMM.source.gen(3)
 
 PRODUCT_PATH = [(algebra, "_normal_word"), (operations, "_normal_word"),
-                (algebra, "table_product"), (operations, "table_product"),
+                (algebra, "table_product"),
                 (StiefelPresentation, "codec"), (PGmPresentation, "codec")]
 KERNEL_PATH = [(linalg, "_eliminate"), (linalg, "module_kernel")]
 
