@@ -12,7 +12,8 @@ of elements is structural equality.  Outside input goes through Element(...),
 which checks each key and coefficient context, merges and sorts; the values
 the library computes go through Presentation._from_terms, which checks nothing.
 
-Products encode each monomial as an int bitmask, bit i standing for rho_i.
+Products encode each monomial as an int bitmask, bit i standing for rho_i,
+decoded by coefficients.set_bits (_monomial here), which keeps no state.
 Two disjoint monomials multiply as in an exterior algebra, with the sign
 given by the parity of the crossing pairs; overlapping ones are contracted
 by the squaring rule (see _normal_word).  Pairs sharing a bit of the codec's
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, pack,
-                           twisted_modulus, unpack)
+                           set_bits as _monomial, twisted_modulus, unpack)
 from .errors import (ContextMismatch, ElementParseError, InvalidGenerator,
                      InvalidPresentation, json_int)
 
@@ -352,32 +353,9 @@ def table_product(n: int, product, nil: int, twisted: int, xs: dict, ys: dict,
 
 
 def _mask(mono: Monomial) -> int:
-    """The monomial as a bitmask, bit i standing for rho_i."""
+    """The monomial as a bitmask, bit i standing for rho_i; _monomial
+    (coefficients.set_bits), which codec() returns, inverts it."""
     return sum(map((1).__lshift__, mono))
-
-
-# _monomial's decode table: the indices of the set bits of each byte value
-# at each byte position, keyed by 256 * position + byte; filled on first use
-_BYTE_ROWS: dict[int, Monomial] = {}
-
-
-def _monomial(mask: int) -> Monomial:
-    """Inverse of _mask, read a byte at a time through _BYTE_ROWS, zero runs at once."""
-    out = ()
-    base = 0
-    while mask:
-        if not mask & 255:
-            zeros = ((mask & -mask).bit_length() - 1) >> 3
-            mask >>= zeros << 3
-            base += zeros << 8
-        key = base | mask & 255
-        row = _BYTE_ROWS.get(key)
-        if row is None:
-            row = _BYTE_ROWS[key] = tuple(base // 32 + i for i in range(8) if mask >> i & 1)
-        out += row
-        mask >>= 8
-        base += 256
-    return out
 
 
 def _normal_word(n: int, a: int, b: int) -> tuple[int, int, int] | None:

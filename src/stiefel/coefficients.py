@@ -19,6 +19,7 @@ The validating MCoefficient constructor, their oracle, applies it on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ContextMismatch, InvalidPresentation
@@ -215,16 +216,36 @@ def pack(terms: tuple[tuple[int, int], ...], twisted: int):
 
 def unpack(value, modulus: int, twisted: int) -> tuple[tuple[int, int], ...]:
     """The normal-form MCoefficient terms of a packed coefficient, whose B
-    has no bit 0, with c_0 reduced mod modulus (0 meaning Z)."""
+    has no bit 0 and is read by set_bits, with c_0 reduced mod modulus (0: Z)."""
     c0, bits = (value, 0) if twisted == 1 else value
     if modulus:
         c0 %= modulus
     terms = ((0, c0),) if c0 else ()
-    while bits:
-        low = bits & -bits
-        terms += ((low.bit_length() - 1, 1),)
-        bits ^= low
+    if bits:
+        terms += tuple(zip(set_bits(bits), repeat(1)))
     return terms
+
+
+# set_bits' fixed rows: row 256 * position + byte lists the bit indices of
+# that byte value at byte position 0, 1 or 2 (built by doubling)
+_ROWS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _ROWS += [row + (_bit,) for row in _ROWS]
+_ROWS += [tuple(i + shift for i in row) for shift in (8, 16) for row in _ROWS]
+
+
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask >= 0, ascending: three table
+    rows below 2^24, else one row per nonzero byte, in time linear in the
+    width of mask.  It keeps nothing between calls."""
+    if mask < 1 << 24:
+        return _ROWS[mask & 255] + _ROWS[256 | mask >> 8 & 255] + _ROWS[512 | mask >> 16]
+    out: list[int] = []
+    # to_bytes takes its length explicitly, as Python 3.10 requires
+    for position, byte in enumerate(mask.to_bytes(mask.bit_length() + 7 >> 3, "little")):
+        if byte:
+            out += map((position << 3).__add__, _ROWS[byte])
+    return tuple(out)
 
 
 # Miller-Rabin to every one of these bases decides primality below

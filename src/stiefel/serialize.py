@@ -40,7 +40,7 @@ def parse_coeff(name: str) -> CoeffRing:
     if not hit:
         raise ElementParseError(f'unrecognized coefficient ring {name!r}; use "Z" or "Z/<m>"')
     try:
-        return CoeffRing(int(hit.group(1)))
+        return CoeffRing(digits_int(hit.group(1), "modulus"))
     except ValueError as exc:
         raise ElementParseError(str(exc)) from exc
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +14,8 @@ from stiefel.algebra import (Element, StiefelPresentation, _mask, _monomial, _no
 from stiefel.coefficients import (Bidegree, CoeffRing, FieldProfile, MCoefficient, pack,
                                   twisted_modulus, unpack)
 from stiefel.errors import ContextMismatch, InvalidGenerator, InvalidPresentation
+from stiefel.maps import apply_map, immersion_pullback
+from stiefel.operations import apply_operation, power, square
 from stiefel.suites import rewrite_outcomes
 from stiefel.targets import PGmPresentation
 
@@ -583,6 +587,44 @@ class TestBitmaskKernel:
             mono = _monomial(mask)
             assert mono == reference(mask), mask
             assert _mask(mono) == mask
+
+    def test_no_state_outlives_a_call(self):
+        # after wide decodes and one product, operation and map per ring
+        # context, no module-level dict, list or set of a stiefel submodule
+        # has grown (the package's own export cache is bounded by __all__)
+        def sizes():
+            return {(name, attr): len(value)
+                    for name, module in list(sys.modules.items()) if name.startswith("stiefel.")
+                    for attr, value in vars(module).items()
+                    if not attr.startswith("__") and isinstance(value, (dict, list, set))}
+
+        before = sizes()
+        rng = random.Random(31)
+        for _ in range(20):
+            mask = rng.getrandbits(200_000)
+            assert len(_monomial(mask)) == mask.bit_count()
+        for ring, profile in _CONTEXTS:
+            pres = StiefelPresentation(6, 4, ring, profile)
+            x = pres.monomial((3, 5)) + pres.minus_one() * pres.gen(4)
+            assert x * pres.gen(6) == pres.monomial((3, 5, 6)) + pres.minus_one() \
+                * pres.monomial((4, 6))
+            op = {2: square(2), 3: power(1, 3)}.get(ring.modulus)
+            if op is not None:
+                apply_operation(op, x)
+            apply_map(immersion_pullback(6, 4, ring=ring, profile=profile), x)
+        after = sizes()
+        assert {key: (before[key], size) for key, size in after.items()
+                if key in before and size > before[key]} == {}
+
+    def test_an_all_ones_mask_decodes_in_linear_time(self):
+        mask = (1 << 10**5) - 1
+        times = []
+        for _ in range(3):  # best of 3, in process
+            start = time.perf_counter()
+            mono = _monomial(mask)
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.05
+        assert _mask(mono) == mask
 
     def test_rho1_square(self):
         # rho_1^2 = {-1} rho_1

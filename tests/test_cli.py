@@ -295,12 +295,16 @@ RING_COMMANDS = {
 BAD_RINGS = [
     (["-n", "2", "-m", "3"], "Error: m > n: a full-rank 2x3 matrix cannot exist"),
     (["-n", "2", "--coeff", "Z/1"], "Error: modulus must be 0 (meaning Z) or at least 2, got 1"),
+    # more digits than Python converts from a string (4,300)
+    (["-n", "2", "--coeff", "Z/" + HUGE],
+     "Error: modulus of 5000 digits is longer than element input takes"),
     (["-n", "2", "--char", "4"], "Error: the characteristic of a field is 0 or a prime, got 4"),
 ]
 
 
 @pytest.mark.parametrize("command", list(RING_COMMANDS))
-@pytest.mark.parametrize("ring_args, message", BAD_RINGS, ids=["m", "coeff", "char"])
+@pytest.mark.parametrize("ring_args, message", BAD_RINGS,
+                         ids=["m", "coeff", "coeff of 5000 digits", "char"])
 def test_bad_ring_options_are_usage_errors(command, ring_args, message):
     result = run(command, *RING_COMMANDS[command], *ring_args)
     assert result.exit_code == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,9 +103,14 @@ class TestReduced:
         rng = random.Random(4021)
         unit = StiefelPresentation(1, 0, ring, profile)
         twisted = twisted_modulus(ring, profile)
-        for _ in range(500):
-            powers = {k: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
-                      for k in rng.sample(range(5), rng.randint(0, 5))}
+        draws = [{k: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**20, 10**20)])
+                  for k in rng.sample(range(5), rng.randint(0, 5))} for _ in range(500)]
+        # wide bitsets: at least 10^4 set {-1}-powers among the first 2 * 10^4
+        for width in (10**4, 15_000, 2 * 10**4 - 1):
+            draws.append({0: rng.randint(-10**20, 10**20),
+                          **{k: rng.choice([1, -1, 3, 10**20 + 1])
+                             for k in rng.sample(range(1, 2 * 10**4), width)}})
+        for powers in draws:
             expected = MCoefficient(ring, profile, tuple(powers.items()))
             # packed with c_0 unreduced and each positive power's parity
             c0 = powers.get(0, 0)
@@ -122,6 +128,17 @@ class TestReduced:
             for c in (MCoefficient._unchecked(ring, profile, reduced), got):
                 assert c == expected and repr(c) == repr(expected), powers
                 assert hash(c) == hash(expected)
+
+    def test_unpack_reads_a_wide_bitset_in_linear_time(self):
+        # bits 1, 3, ..., 19999: 10^4 {-1}-powers
+        bits = int("10" * 10**4, 2)
+        times = []
+        for _ in range(3):  # best of 3, in process (0.218 s with a bit-by-bit loop)
+            start = time.perf_counter()
+            terms = unpack((5, bits), 0, 2)
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.05
+        assert terms == ((0, 5),) + tuple((k, 1) for k in range(1, 2 * 10**4, 2))
 
     @pytest.mark.parametrize("profile", [PLAIN, SQUARE], ids=["plain", "minus-one-square"])
     def test_twisted_modulus_matches_reduce_mod_two(self, profile):

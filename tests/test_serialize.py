@@ -17,7 +17,7 @@ class TestCoeffNames:
         assert parse_coeff("Z/12") == CoeffRing(12)
 
     def test_reject(self):
-        for bad in ("Q", "Z/", "Z/1", "Z/x", "z/2"):
+        for bad in ("Q", "Z/", "Z/1", "Z/x", "z/2", "Z/" + "9" * 5000):
             with pytest.raises(ElementParseError):
                 parse_coeff(bad)
 
@@ -77,6 +77,8 @@ REFUSED = [
     ({**R1, "terms": [{"gens": [1], "mcoeff": 5}]}, StiefelPresentation,
      "mcoeff must be a list"),
     ({**R1, "coeff": 2}, StiefelPresentation, "coeff must be a string"),
+    ({**R1, "coeff": "Z/" + "9" * 5000}, StiefelPresentation,
+     "modulus of 5000 digits is longer than element input takes"),
     ({**R1, "minus_one_is_square": 1}, StiefelPresentation,
      "minus_one_is_square must be a boolean"),
     ({**R1, "terms": [{"gens": [1], "mcoeff": [{"k": -1, "c": 1}]}]}, StiefelPresentation,
@@ -91,8 +93,8 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("data, kind, message", REFUSED, ids=[
-    "not an object", "mcoeff", "coeff", "minus_one_is_square", "negative k", "sigma", "eta",
-    "negative eta"])
+    "not an object", "mcoeff", "coeff", "modulus of 5000 digits", "minus_one_is_square",
+    "negative k", "sigma", "eta", "negative eta"])
 def test_refusal_messages(data, kind, message):
     text = data if isinstance(data, str) else json.dumps(data)
     with pytest.raises(ElementParseError) as caught:

@@ -19,7 +19,9 @@ run that wrote it, its first seed and its pair count.  Records written
 before these were added are left as they are.  --trace-seed adds one traced
 run per workload and side (the per-layer metrics); --tier1 runs the tier-1
 tests on each side and records their exit status, and their wall time only
-when they pass.  An existing record of the same two commits is updated in
+when they pass, and times `python -m stiefel.cli check --suite all` as a
+child process, recording the median of CHECK_RUNS runs as check_s when
+every run exits 0.  An existing record of the same two commits is updated in
 place: the workloads run now replace their earlier entries, and the others
 are kept.
 """
@@ -39,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+CHECK_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -84,6 +87,21 @@ def tier1(checkout: Path) -> dict:
     if proc.returncode == 0:
         out["tier1_s"] = seconds
     return out
+
+
+def check_suites(checkout: Path) -> dict:
+    """Median wall time of CHECK_RUNS runs of `check --suite all` as a child
+    process, or the exit status of the first run that did not exit 0."""
+    env = dict(os.environ, PYTHONPATH="src")
+    times = []
+    for _ in range(CHECK_RUNS):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "stiefel.cli", "check", "--suite", "all"],
+                              cwd=checkout, env=env, capture_output=True)
+        if proc.returncode:
+            return {"check_exit": proc.returncode}
+        times.append(time.perf_counter() - start)
+    return {"check_s": statistics.median(times)}
 
 
 def summary(values: list[float]) -> dict:
@@ -170,9 +188,11 @@ def record_pairs(args: argparse.Namespace, spec: dict, work: Path) -> None:
     })
     if args.tier1:
         for side in SIDES:
-            record["sides"][side].pop("tier1_s", None)  # an earlier run's time
-            record["sides"][side].update(tier1(dirs[side]))
-            print(side, record["sides"][side]["tier1_summary"], flush=True)
+            for key in ("tier1_s", "check_s", "check_exit"):  # an earlier run's
+                record["sides"][side].pop(key, None)
+            record["sides"][side].update(tier1(dirs[side]), **check_suites(dirs[side]))
+            print(side, record["sides"][side]["tier1_summary"],
+                  record["sides"][side].get("check_s"), flush=True)
 
     for workload in args.workloads:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
